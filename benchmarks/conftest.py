@@ -23,7 +23,7 @@ def pytest_addoption(parser):
                           "(1 = in-process serial)")
     parser.addoption("--repro-backend", action="store", default=None,
                      help="sweep backend: serial, process, thread, "
-                          "futures, or remote (default: serial for "
+                          "or remote (default: serial for "
                           "--repro-jobs 1, process otherwise; remote "
                           "needs --repro-workers)")
     parser.addoption("--repro-workers", action="store", default=None,
@@ -45,7 +45,7 @@ def sweep_executor(request):
     """The shared sweep engine the benches route their run grids through.
 
     ``--repro-jobs N`` parallelizes, ``--repro-backend`` picks the
-    execution backend (serial/process/thread/futures/remote),
+    execution backend (serial/process/thread/remote),
     ``--repro-workers HOST:PORT,...`` shards the grids across remote
     worker daemons, and ``--repro-cache DIR`` makes re-runs skip
     already-simulated points. With no flag this is None: the figure

@@ -16,7 +16,7 @@ from .sweep import (BACKENDS, Backend, PointFailure, SweepExecutor,
 from .index import CacheIndex
 from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                       REGISTRY)
-from .queue import MissTask, RequestScheduler
+from .queue import RequestScheduler
 from .quota import (ApiKey, ApiKeyAuth, ClientQuota, QuotaLease,
                     QuotaManager, load_api_keys)
 from .task import (PRIORITY_HIGH, PRIORITY_LOW, PRIORITY_NORMAL,
@@ -43,7 +43,7 @@ __all__ = [
     "parse_workers", "worker_ping", "worker_stop",
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "REGISTRY",
     "CacheIndex",
-    "MissTask", "RequestScheduler",
+    "RequestScheduler",
     "ApiKey", "ApiKeyAuth", "ClientQuota", "QuotaLease", "QuotaManager",
     "load_api_keys",
     "PRIORITY_HIGH", "PRIORITY_LOW", "PRIORITY_NORMAL", "Provenance",

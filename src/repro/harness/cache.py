@@ -15,19 +15,18 @@ change to a tuning parameter, the device model, or the code version
 therefore lands on a different key — stale entries are never returned,
 only orphaned.
 
-Each blob carries a ``meta`` block (hit count, measured simulation cost
-in seconds, creation time, cache version) written at store time. The
-:class:`~repro.harness.index.CacheIndex` is a write-through mirror of
-that metadata, queryable by SQL (``repro cache top|stats``, cost-aware
-prune) and rebuildable from the blobs via :meth:`ResultCache.reindex`
-(``repro cache reindex``). The warm **hit path stays read-only on the
-blob**: a hit refreshes the blob's mtime (LRU order) and bumps the hit
-count only in the index — an atomic SQL increment, so concurrent hits
-across threads and processes are never lost and a figure artifact is
-never re-pickled just to count a hit. :meth:`ResultCache.sync_hits`
-folds the accumulated counts back into the blobs' ``meta`` blocks
-lazily (``prune`` and ``reindex`` run it first), so deleting
-``index.sqlite`` loses at most the hits taken since the last fold.
+Each blob carries a ``meta`` block with the facts fixed when it is
+stored: measured simulation cost in seconds, creation time, cache
+version. The :class:`~repro.harness.index.CacheIndex` mirrors those
+facts, queryable by SQL (``repro cache top|stats``, cost-aware prune)
+and rebuildable from the blobs via :meth:`ResultCache.reindex`
+(``repro cache reindex``). The one fact that changes after creation,
+the hit count, lives only in the index: a warm hit never rewrites a
+blob, it refreshes the blob's mtime (LRU order) and bumps the count by
+an atomic SQL increment, so concurrent hits across threads and
+processes are never lost. The index is lossy analytics: ``reindex``
+keeps the hit counts a readable live index holds, but deleting
+``index.sqlite`` resets every hit count to 0.
 
 Orphans are why the cache has a lifecycle: :meth:`ResultCache.info` counts
 entries and bytes, :meth:`ResultCache.prune` bounds both by evicting
@@ -81,6 +80,8 @@ _EVICTIONS = REGISTRY.counter(
 #: 4: blob payloads carry a "meta" block (hits, sim cost, created, cache
 #: version) and figure pickles are wrapped with their name/spec so the
 #: SQLite metadata index (harness.index) can be rebuilt from blobs alone.
+#: (New blobs no longer carry "hits": the count lives only in the index,
+#: and readers ignore the field in older v4 blobs, so no bump.)
 CACHE_VERSION = 4
 
 #: Default age (seconds) past which a stranded ``.tmp`` file is considered
@@ -174,12 +175,11 @@ def figure_key(name, spec):
                        "figure": name, "spec": spec})
 
 
-def _fresh_meta(sim_cost=None, now=None):
-    """A blob's initial ``meta`` block — the durable metadata the index
-    mirrors (and reindex recovers)."""
-    return {"hits": 0,
-            "sim_cost_seconds": sim_cost,
-            "created": time.time() if now is None else now,
+def _fresh_meta(sim_cost=None):
+    """A blob's ``meta`` block: the creation facts the index mirrors (and
+    reindex recovers)."""
+    return {"sim_cost_seconds": sim_cost,
+            "created": time.time(),
             "cache_version": CACHE_VERSION}
 
 
@@ -206,61 +206,15 @@ def _stat_size(path):
         return 0
 
 
-def _atomic_rewrite(path, blob, binary=False):
-    """Atomically replace *path* with *blob* (``mkstemp`` +
-    ``os.replace``); losing a race with prune/clear is fine — fall back
-    to a plain mtime touch."""
-    try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
-                                   suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb" if binary else "w") as handle:
-                handle.write(blob)
-            os.replace(tmp, path)
-        finally:
-            _remove_quietly(tmp)
-    except OSError:
-        _touch(path)
-
-
-def _fold_blob_hits(path, kind, hits, last_access):
-    """Rewrite one blob's ``meta.hits`` up to *hits* (the index's
-    accumulated count) — the lazy half of the read-only hit path. The
-    blob's mtime is restored to *last_access* afterwards so LRU/prune
-    order still reflects access time, not fold time. Returns 1 when the
-    blob was rewritten (0: already current, unreadable, or a pre-v4
-    bare figure artifact with no ``meta`` block)."""
-    try:
-        if kind == "result":
-            with open(path) as handle:
-                payload = json.load(handle)
-            meta = dict(payload.get("meta") or _fresh_meta())
-            if int(meta.get("hits", 0) or 0) >= hits:
-                return 0
-            meta["hits"] = hits
-            payload["meta"] = meta
-            blob, binary = json.dumps(payload), False
-        else:
-            with open(path, "rb") as handle:
-                wrapper = pickle.load(handle)
-            if not (isinstance(wrapper, dict)
-                    and wrapper.get(_FIGURE_WRAPPER_MARK)):
-                return 0
-            meta = dict(wrapper.get("meta") or _fresh_meta())
-            if int(meta.get("hits", 0) or 0) >= hits:
-                return 0
-            meta["hits"] = hits
-            wrapper["meta"] = meta
-            blob, binary = pickle.dumps(wrapper), True
-    except Exception:       # missing/corrupt blob: get()'s sweep owns it
-        return 0
-    _atomic_rewrite(path, blob, binary=binary)
-    if last_access is not None:
-        try:
-            os.utime(path, (last_access, last_access))
-        except OSError:
-            pass
-    return 1
+def _load_figure(path):
+    """The wrapper dict pickled at *path*. Raises on anything else: a
+    truncated pickle, or a bare artifact from before CACHE_VERSION 4
+    (which can only sit under an orphaned key)."""
+    with open(path, "rb") as handle:
+        wrapper = pickle.load(handle)
+    if not (isinstance(wrapper, dict) and wrapper.get(_FIGURE_WRAPPER_MARK)):
+        raise ValueError("%s is not a figure wrapper" % path)
+    return wrapper
 
 
 def _blob_key(path):
@@ -339,7 +293,61 @@ class PruneReport:
                    self.removed_tmp))
 
 
-class ResultCache:
+class _BlobCache:
+    """Lookup and store bookkeeping shared by :class:`ResultCache` and
+    :class:`FigureArtifactCache`; ``kind`` labels their metrics and
+    index rows."""
+
+    kind = None
+
+    def _miss(self, count_miss):
+        if count_miss:
+            self.misses += 1
+            _LOOKUPS.inc(cache=self.kind, outcome="miss")
+
+    def _drop_corrupt(self, key, path):
+        _remove_quietly(path)
+        self.index.remove([key])
+        _EVICTIONS.inc(reason="corrupt")
+
+    def _hit(self, key, spec, path, meta):
+        """Count a hit without rewriting the blob: refresh its mtime
+        (prune's LRU order) and bump the hit count in the index alone,
+        by an atomic SQL increment. When the index has lost the row
+        (deleted, cleared, or broken), record it again from the blob's
+        creation facts with ``hits=1``."""
+        self.hits += 1
+        _LOOKUPS.inc(cache=self.kind, outcome="hit")
+        _touch(path)
+        now = time.time()
+        if not self.index.bump_hit(key, now):
+            self.index.record(key, self.kind, spec, _stat_size(path),
+                              created=meta.get("created"), last_access=now,
+                              hits=1, sim_cost=meta.get("sim_cost_seconds"),
+                              cache_version=meta.get("cache_version"),
+                              op="hit")
+
+    def _store(self, key, spec, path, blob, meta):
+        """Write *blob* (bytes) atomically (``mkstemp`` + ``os.replace``)
+        and record it in the index with no hits."""
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(blob)
+            os.replace(tmp, path)
+        finally:
+            # Quiet, unconditional: a concurrent prune may sweep the .tmp
+            # between any exists() check and the remove().
+            _remove_quietly(tmp)
+        _STORES.inc(cache=self.kind)
+        self.index.record(key, self.kind, spec, len(blob),
+                          created=meta["created"],
+                          last_access=meta["created"], hits=0,
+                          sim_cost=meta["sim_cost_seconds"],
+                          cache_version=CACHE_VERSION)
+
+
+class ResultCache(_BlobCache):
     """On-disk result cache; safe to share across processes and runs.
 
     Also owns the lifecycle of the whole cache directory — including the
@@ -347,6 +355,8 @@ class ResultCache:
     ``info``/``clear``/``prune``/``reindex`` account for and bound
     everything under ``cache_dir``.
     """
+
+    kind = "result"
 
     def __init__(self, cache_dir, index=None):
         self.cache_dir = str(cache_dir)
@@ -367,10 +377,8 @@ class ResultCache:
         the point re-simulates).
 
         A hit leaves the blob untouched except for an mtime refresh
-        (prune's LRU order): the hit count is bumped atomically in the
-        index (:meth:`~repro.harness.index.CacheIndex.bump_hit`) and
-        folded back into the blob's ``meta`` block lazily by
-        :meth:`sync_hits`.
+        (prune's LRU order); the hit count is bumped in the index only
+        (:meth:`~repro.harness.index.CacheIndex.bump_hit`).
 
         ``count_miss=False`` suits optimistic pre-checks whose miss path
         calls ``get`` again — the HTTP query service's lock-free hit path
@@ -383,34 +391,14 @@ class ResultCache:
                 payload = json.load(handle)
             result = decode_result(payload["result"])
         except FileNotFoundError:
-            if count_miss:
-                self.misses += 1
-                _LOOKUPS.inc(cache="result", outcome="miss")
+            self._miss(count_miss)
             return None
         except (OSError, ValueError, KeyError, TypeError):
             # Corrupted/truncated entry: drop it so the point re-simulates.
-            _remove_quietly(path)
-            self.index.remove([key])
-            _EVICTIONS.inc(reason="corrupt")
-            if count_miss:
-                self.misses += 1
-                _LOOKUPS.inc(cache="result", outcome="miss")
+            self._drop_corrupt(key, path)
+            self._miss(count_miss)
             return None
-        self.hits += 1
-        _LOOKUPS.inc(cache="result", outcome="hit")
-        _touch(path)
-        now = time.time()
-        if not self.index.bump_hit(key, now):
-            # The index lost this row (deleted, rebuilt, broken):
-            # resurrect it from the blob's own meta block.
-            meta = payload.get("meta") or {}
-            self.index.record(key, "result", payload.get("spec"),
-                              _stat_size(path), created=meta.get("created"),
-                              last_access=now,
-                              hits=int(meta.get("hits", 0) or 0) + 1,
-                              sim_cost=meta.get("sim_cost_seconds"),
-                              cache_version=meta.get("cache_version"),
-                              op="hit")
+        self._hit(key, payload.get("spec"), path, payload.get("meta") or {})
         return result
 
     def put(self, point, result, sim_cost=None):
@@ -429,45 +417,9 @@ class ResultCache:
         meta = _fresh_meta(sim_cost=sim_cost)
         payload = {"spec": point.spec(), "result": encode_result(result),
                    "meta": meta}
-        blob = json.dumps(payload)
-        path = self._path(key)
-        fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(blob)
-            os.replace(tmp, path)
-        finally:
-            # Quiet, unconditional: a concurrent prune may sweep the .tmp
-            # between any exists() check and the remove().
-            _remove_quietly(tmp)
-        _STORES.inc(cache="result")
-        self.index.record(key, "result", payload["spec"], len(blob),
-                          created=meta["created"],
-                          last_access=meta["created"], hits=0,
-                          sim_cost=sim_cost, cache_version=CACHE_VERSION)
+        self._store(key, payload["spec"], self._path(key),
+                    json.dumps(payload).encode("utf-8"), meta)
         return True
-
-    def sync_hits(self):
-        """Fold the index's accumulated hit counts back into the blobs'
-        ``meta`` blocks (results *and* figure artifacts — this cache
-        owns the whole directory's lifecycle). The warm hit path bumps
-        only the index, so this is the step that makes hit counts
-        durable in the blobs; :meth:`prune` and :meth:`reindex` run it
-        first. Best-effort and idempotent; returns the number of blobs
-        rewritten."""
-        synced = 0
-        for row in self.index.entries():
-            hits = int(row.get("hits") or 0)
-            if hits <= 0:
-                continue
-            if row.get("kind") == "result":
-                path = self._path(row["key"])
-            else:
-                path = os.path.join(self._figures_dir(),
-                                    row["key"] + ".pkl")
-            synced += _fold_blob_hits(path, row.get("kind"), hits,
-                                      row.get("last_access"))
-        return synced
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -542,16 +494,12 @@ class ResultCache:
         measured ``sim_cost_seconds``; entries with unknown cost rank
         cheapest, ties break oldest-first), keeping the entries that
         were most expensive to simulate. *dry_run* computes the same
-        report without removing (or rewriting) anything.
-
-        A real prune first runs :meth:`sync_hits`, so hit counts taken
-        since the last fold become durable in the surviving blobs.
+        report without removing anything. Surviving blobs are never
+        rewritten.
         """
         if policy not in PRUNE_POLICIES:
             raise ValueError("unknown prune policy %r (expected %s)"
                              % (policy, "|".join(PRUNE_POLICIES)))
-        if not dry_run:
-            self.sync_hits()
         entries, tmp_files = self._scan()
         report = PruneReport(policy=policy, dry_run=dry_run)
         now = time.time() if now is None else now
@@ -594,63 +542,44 @@ class ResultCache:
         """Rebuild ``index.sqlite`` from the blobs (``repro cache
         reindex``); returns the number of entries indexed.
 
-        Any hit counts still accumulated only in a readable live index
-        are folded into the blobs first (:meth:`sync_hits` — a no-op
-        when the index is gone or garbage), then the blobs' ``meta``
-        blocks (hit counts, sim costs, creation times) rebuild the
-        index from scratch — so reindexing over a live index loses
-        nothing, and deleting ``index.sqlite`` loses at most the hits
-        taken since the last fold.
+        Each row's creation facts (spec, size, created, sim cost, cache
+        version) come from its blob. Hit counts live only in the index,
+        so the ones a readable live index holds are read first and kept
+        for every blob that still exists: reindexing over a live index
+        loses nothing, while reindexing after ``index.sqlite`` was
+        deleted starts every hit count at 0. Unreadable blobs are
+        skipped.
         """
-        self.sync_hits()
+        hits = {row["key"]: row["hits"] for row in self.index.entries()}
         entries, _ = self._scan()
         rows = []
         for path, size, mtime in entries:
             key = _blob_key(path)
-            if path.endswith(".json"):
-                row = self._reindex_result(path, key, size, mtime)
-            else:
-                row = self._reindex_figure(path, key, size, mtime)
-            if row is not None:
-                rows.append(row)
+            try:
+                if path.endswith(".json"):
+                    kind = "result"
+                    with open(path) as handle:
+                        payload = json.load(handle)
+                    spec = payload.get("spec")
+                else:
+                    kind = "figure"
+                    payload = _load_figure(path)
+                    spec = {"figure": payload.get("name"),
+                            "spec": payload.get("spec")}
+            except Exception:           # pickle can raise nearly anything
+                continue
+            meta = payload.get("meta") or {}
+            rows.append({"key": key, "kind": kind, "spec": spec,
+                         "bytes": size,
+                         "created": meta.get("created", mtime),
+                         "last_access": mtime, "hits": hits.get(key, 0),
+                         "sim_cost_seconds": meta.get("sim_cost_seconds"),
+                         "cache_version": meta.get("cache_version")})
         self.index.rebuild(rows)
         return len(rows)
 
-    @staticmethod
-    def _reindex_result(path, key, size, mtime):
-        try:
-            with open(path) as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        meta = payload.get("meta") or {}
-        return {"key": key, "kind": "result", "spec": payload.get("spec"),
-                "bytes": size, "created": meta.get("created", mtime),
-                "last_access": mtime, "hits": meta.get("hits", 0),
-                "sim_cost_seconds": meta.get("sim_cost_seconds"),
-                "cache_version": meta.get("cache_version")}
 
-    @staticmethod
-    def _reindex_figure(path, key, size, mtime):
-        try:
-            with open(path, "rb") as handle:
-                wrapper = pickle.load(handle)
-        except Exception:               # pickle can raise nearly anything
-            return None
-        if isinstance(wrapper, dict) and wrapper.get(_FIGURE_WRAPPER_MARK):
-            meta = wrapper.get("meta") or {}
-            spec = {"figure": wrapper.get("name"),
-                    "spec": wrapper.get("spec")}
-        else:                           # pre-v4 bare artifact
-            meta, spec = {}, None
-        return {"key": key, "kind": "figure", "spec": spec,
-                "bytes": size, "created": meta.get("created", mtime),
-                "last_access": mtime, "hits": meta.get("hits", 0),
-                "sim_cost_seconds": meta.get("sim_cost_seconds"),
-                "cache_version": meta.get("cache_version")}
-
-
-class FigureArtifactCache:
+class FigureArtifactCache(_BlobCache):
     """Pickled figure-result objects, keyed by figure name + call spec.
 
     A warm :class:`~repro.harness.sweep.ResultCache` makes the *grid* free
@@ -663,6 +592,8 @@ class FigureArtifactCache:
     is pickled inside a small wrapper dict (name, spec, ``meta``) so
     ``reindex`` can recover its metadata; :meth:`get` unwraps it.
     """
+
+    kind = "figure"
 
     def __init__(self, cache_dir, index=None):
         root = str(cache_dir)
@@ -679,72 +610,32 @@ class FigureArtifactCache:
         """Cached figure object, or None on miss/corruption.
 
         ``count_miss=False`` marks an optimistic pre-check whose miss
-        path retries ``get`` (see :meth:`ResultCache.get`).
+        path retries ``get`` (see :meth:`ResultCache.get`). A hit never
+        re-pickles the (potentially large) artifact.
         """
         key = figure_key(name, spec)
         path = self._path(name, spec)
         try:
-            with open(path, "rb") as handle:
-                stored = pickle.load(handle)
+            wrapper = _load_figure(path)
+            artifact = wrapper["artifact"]
         except FileNotFoundError:
-            if count_miss:
-                self.misses += 1
-                _LOOKUPS.inc(cache="figure", outcome="miss")
+            self._miss(count_miss)
             return None
         except Exception:
             # Corrupted/truncated artifact (pickle can raise nearly
             # anything): drop it and regenerate.
-            _remove_quietly(path)
-            self.index.remove([key])
-            _EVICTIONS.inc(reason="corrupt")
-            if count_miss:
-                self.misses += 1
-                _LOOKUPS.inc(cache="figure", outcome="miss")
+            self._drop_corrupt(key, path)
+            self._miss(count_miss)
             return None
-        self.hits += 1
-        _LOOKUPS.inc(cache="figure", outcome="hit")
-        if isinstance(stored, dict) and stored.get(_FIGURE_WRAPPER_MARK):
-            meta = stored.get("meta") or {}
-            artifact = stored["artifact"]
-        else:                           # pre-v4 bare artifact
-            meta, artifact = {}, stored
-        # Read-only hit path: never re-pickle the (potentially large)
-        # artifact just to count a hit — mtime touch for LRU, atomic
-        # hit bump in the index, lazy fold-back via sync_hits().
-        _touch(path)
-        now = time.time()
-        if not self.index.bump_hit(key, now):
-            self.index.record(key, "figure",
-                              {"figure": name, "spec": spec},
-                              _stat_size(path),
-                              created=meta.get("created"),
-                              last_access=now,
-                              hits=int(meta.get("hits", 0) or 0) + 1,
-                              sim_cost=meta.get("sim_cost_seconds"),
-                              cache_version=meta.get("cache_version"),
-                              op="hit")
+        self._hit(key, {"figure": name, "spec": spec}, path,
+                  wrapper.get("meta") or {})
         return artifact
 
     def put(self, name, spec, artifact):
         """Atomically store one figure object (wrapped with its metadata)."""
-        key = figure_key(name, spec)
-        path = self._path(name, spec)
         meta = _fresh_meta()
         wrapper = {_FIGURE_WRAPPER_MARK: 1, "name": name, "spec": spec,
                    "meta": meta, "artifact": artifact}
-        blob = pickle.dumps(wrapper)
-        fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-            os.replace(tmp, path)
-        finally:
-            # Quiet, unconditional: a concurrent prune may sweep the .tmp
-            # between any exists() check and the remove().
-            _remove_quietly(tmp)
-        _STORES.inc(cache="figure")
-        self.index.record(key, "figure", {"figure": name, "spec": spec},
-                          len(blob), created=meta["created"],
-                          last_access=meta["created"], hits=0,
-                          cache_version=CACHE_VERSION)
+        self._store(figure_key(name, spec), {"figure": name, "spec": spec},
+                    self._path(name, spec), pickle.dumps(wrapper), meta)
         return True

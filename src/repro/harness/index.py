@@ -7,18 +7,17 @@ what should eviction keep? :class:`CacheIndex` answers those with a
 single-table SQLite database, ``index.sqlite``, living beside the
 blobs.
 
-The index is **advisory and rebuildable, never authoritative**. Every
-fact it holds is also carried in the blob payloads themselves (the
-``meta`` block :mod:`repro.harness.cache` writes into result JSON and
-figure pickles), so ``repro cache reindex``
-(:meth:`~repro.harness.cache.ResultCache.reindex`) reconstructs it from
-the blobs alone. One nuance: a warm hit bumps only the index (an atomic
-SQL ``hits = hits + 1`` via :meth:`CacheIndex.bump_hit`; the blob stays
-read-only on the hot path), and the accumulated counts are folded back
-into the blobs' ``meta`` blocks lazily by
-:meth:`~repro.harness.cache.ResultCache.sync_hits` — ``prune`` and
-``reindex`` run the fold first — so deleting ``index.sqlite`` loses at
-most the hits taken since the last fold. Writes are best-effort:
+The index is **lossy analytics, never authoritative**. Each fact fixed
+when a blob is stored is also carried by the blob itself: its spec and
+size, and the creation time, measured sim cost and cache version in
+the ``meta`` block :mod:`repro.harness.cache` writes into result JSON
+and figure pickles. So ``repro cache reindex``
+(:meth:`~repro.harness.cache.ResultCache.reindex`) reconstructs those
+from the blobs alone. The hit count is the one fact stored only here: a
+warm hit bumps it by an atomic SQL ``hits = hits + 1``
+(:meth:`CacheIndex.bump_hit`) and never rewrites the blob. ``reindex``
+keeps the counts of a readable live index, but deleting
+``index.sqlite`` resets them to 0 — by design. Writes are best-effort:
 any ``sqlite3`` error is swallowed, counted on
 ``repro_cache_index_errors_total``, and the caller proceeds; a broken
 index must never fail a cache store or a warm hit.
@@ -43,7 +42,8 @@ Concurrency: one connection per :class:`CacheIndex`, opened with
 ``check_same_thread=False`` behind an ``RLock`` (the serve tier's miss
 workers and HTTP threads share the cache object). ``synchronous=OFF`` +
 WAL keep index writes off the warm hit path's critical latency — losing
-index rows in a crash is fine, the blobs rebuild them.
+index rows in a crash is fine, the blobs rebuild them (hit counts
+aside).
 """
 
 import json
@@ -171,9 +171,8 @@ class CacheIndex:
 
     def record(self, key, kind, spec, nbytes, created, last_access,
                hits=0, sim_cost=None, cache_version=None, op="store"):
-        """Upsert one entry. *hits* is the absolute count (the blob's
-        ``meta`` block is authoritative; the index mirrors it). An
-        existing row keeps its original ``created`` and any known
+        """Upsert one entry; *hits* is the absolute count. An existing
+        row keeps its original ``created`` and any known
         ``sim_cost_seconds`` a later write does not supply."""
         spec_json = None if spec is None \
             else json.dumps(spec, sort_keys=True)
@@ -187,9 +186,8 @@ class CacheIndex:
         The increment happens in SQL (``hits = hits + 1``), so
         concurrent hits across threads *and* processes serialize inside
         SQLite instead of racing a read-modify-write; the blob itself is
-        never rewritten (see :meth:`ResultCache.sync_hits` for the lazy
-        fold-back). Returns False when the row is missing or the index
-        is unusable, so the caller can fall back to a full
+        never rewritten. Returns False when the row is missing or the
+        index is unusable, so the caller can fall back to a full
         :meth:`record` upsert from the blob's own ``meta`` block.
         """
         with self._lock:

@@ -62,10 +62,7 @@ from .sweep import PointFailure
 from .task import (PRIORITY_NORMAL, Task, metric_priority_label,
                    priority_label)
 
-__all__ = ["MissTask", "RequestScheduler"]
-
-#: Backwards-compatible alias — PR 5's MissTask grew into the Task record.
-MissTask = Task
+__all__ = ["RequestScheduler"]
 
 _SUBMITTED = REGISTRY.counter(
     "repro_queue_submitted_total",
@@ -140,8 +137,9 @@ class RequestScheduler:
 
     def submit(self, point, priority=PRIORITY_NORMAL, deadline=None,
                provenance=None):
-        """Queue *point* (or join its in-flight task); returns the
-        :class:`~repro.harness.task.Task` to :meth:`result` on.
+        """Queue *point* (or join its in-flight task) — :meth:`submit_all`
+        for a batch of one; returns the :class:`~repro.harness.task.Task`
+        to :meth:`result` on.
 
         *priority* is an int class (lower runs first), *deadline* an
         absolute ``time.monotonic()`` timestamp or None. A submission
@@ -156,45 +154,18 @@ class RequestScheduler:
         :class:`~repro.errors.QueueClosedError` once the scheduler is
         draining — both well-formed-but-unservable (HTTP 503).
         """
-        key = point_key(point)
-        with self._cond:
-            if self._closed:
-                self.rejected += 1
-                _REJECTED.inc(reason="closed")
-                raise QueueClosedError(
-                    "the miss scheduler is shutting down")
-            # Expiry is checked before the dedup join: an already-spent
-            # deadline is shed individually and must never tighten a
-            # shared task's deadline into the past (which would fail
-            # every earlier waiter on the same key).
-            if deadline is not None and time.monotonic() >= deadline:
-                return self._shed_new_locked(key, point, priority, deadline,
-                                             provenance,
-                                             reason="expired-on-submit")
-            task = self._by_key.get(key)
-            if task is not None:
-                self._join_locked(task, priority, deadline)
-                return task
-            if self._queued >= self.max_pending:
-                self.rejected += 1
-                _REJECTED.inc(reason="full")
-                raise QueueFullError(
-                    "miss queue full (%d tasks pending; retry later)"
-                    % self._queued)
-            task = self._enqueue_locked(key, point, priority, deadline,
-                                        provenance)
-            self._cond.notify()
-            return task
+        return self.submit_all([point], priority, deadline, provenance)[0]
 
     def submit_all(self, points, priority=PRIORITY_NORMAL, deadline=None,
                    provenance=None):
         """Atomically queue a batch in order (one lock hold, so another
         request cannot interleave into the middle of this one); returns
-        one task per point, deduplicated like :meth:`submit`. The whole
-        batch shares one priority/deadline/provenance; an expired
-        deadline sheds every point individually without queueing any —
-        and without joining in-flight tasks, whose waiters must not
-        inherit the spent deadline."""
+        one task per point, deduplicated against in-flight tasks and
+        within the batch. The whole batch shares one
+        priority/deadline/provenance; an expired deadline sheds every
+        point individually without queueing any — and without joining
+        in-flight tasks, whose waiters must not inherit the spent
+        deadline."""
         with self._cond:
             if self._closed:
                 self.rejected += 1

@@ -205,8 +205,7 @@ def _encode_outcome(outcome):
     points simulated on remote machines.
     """
     if outcome[0] == "ok":
-        sim_cost = outcome[2] if len(outcome) > 2 else None
-        return ["ok", encode_result(outcome[1]), sim_cost]
+        return ["ok", encode_result(outcome[1]), outcome[2]]
     return list(outcome)
 
 

@@ -16,7 +16,6 @@ CLI):
 * ``thread`` — a ``concurrent.futures.ThreadPoolExecutor``; the simulator
   is GIL-bound pure Python so this rarely speeds anything up, but it
   shares the in-process dataset memo and needs no pickling;
-* ``futures`` — a ``concurrent.futures.ProcessPoolExecutor``;
 * ``remote`` — shard chunks over ``repro worker serve`` daemons on other
   machines (:mod:`repro.harness.remote`; needs ``workers=`` /
   ``--workers``).
@@ -307,23 +306,21 @@ class ProcessBackend(Backend):
             self._pool = None
 
 
-class _FuturesBackend(Backend):
-    """Shared base for the ``concurrent.futures`` pool backends."""
+class ThreadBackend(Backend):
+    """``ThreadPoolExecutor``: shares the dataset memo, needs no pickling."""
 
-    _executor_cls = None
+    name = "thread"
 
     def __init__(self, jobs=1, chunk_size=None):
         super().__init__(jobs, chunk_size)
         self._executor = None
 
-    def _make_executor(self):
-        return self._executor_cls(max_workers=self.jobs)
-
     def map(self, points):
         if self.jobs <= 1 or len(points) <= 1:
             return [_safe_worker(point) for point in points]
         if self._executor is None:
-            self._executor = self._make_executor()
+            self._executor = concurrent.futures.ThreadPoolExecutor(
+                max_workers=self.jobs)
         return list(self._executor.map(_safe_worker, points,
                                        chunksize=self._chunk(len(points))))
 
@@ -333,28 +330,10 @@ class _FuturesBackend(Backend):
             self._executor = None
 
 
-class ThreadBackend(_FuturesBackend):
-    """``ThreadPoolExecutor``: shares the dataset memo, needs no pickling."""
-
-    name = "thread"
-    _executor_cls = concurrent.futures.ThreadPoolExecutor
-
-
-class FuturesBackend(_FuturesBackend):
-    """``ProcessPoolExecutor`` (the stdlib's other process pool)."""
-
-    name = "futures"
-    _executor_cls = concurrent.futures.ProcessPoolExecutor
-
-    def _make_executor(self):
-        return self._executor_cls(max_workers=self.jobs,
-                                  mp_context=_pool_context())
-
-
 #: Registry of backend names; ``repro.harness.remote`` adds ``remote`` when
 #: it is imported (the ``repro.harness`` package always imports it).
 BACKENDS = {cls.name: cls for cls in
-            (SerialBackend, ProcessBackend, ThreadBackend, FuturesBackend)}
+            (SerialBackend, ProcessBackend, ThreadBackend)}
 
 
 def make_backend(backend, jobs=1, chunk_size=None, workers=None,
@@ -416,8 +395,9 @@ _BATCHES_TOTAL = REGISTRY.counter(
     "Miss batches dispatched to a sweep backend", ("backend",))
 _POINT_SECONDS = REGISTRY.histogram(
     "repro_sweep_point_seconds",
-    "Per-point simulation latency by backend (batch wall time divided "
-    "by batch size; worker-side clocks never cross process boundaries)",
+    "Simulation wall time of each successfully simulated point, by "
+    "backend (measured where the point ran, so pooled and remote points "
+    "report their own time, not a share of the batch)",
     ("backend",))
 
 
@@ -453,7 +433,7 @@ class SweepExecutor:
     touches the simulator or spawns a pool.
 
     ``backend`` is a name from :data:`BACKENDS` (``serial``, ``process``,
-    ``thread``, ``futures``, ``remote``) or an instance; unset, it is
+    ``thread``, ``remote``) or an instance; unset, it is
     ``serial`` for ``jobs <= 1``, ``process`` otherwise, and ``remote``
     when ``workers=`` (host:port worker-daemon addresses) is given.
     Pool-backed backends are created lazily on the first miss batch and
@@ -509,16 +489,8 @@ class SweepExecutor:
         if hits:
             _POINTS_TOTAL.inc(hits, outcome="hit")
         if misses:
-            todo = [points[index] for index in misses]
-            started = time.perf_counter()
-            outcomes = self.backend.map(todo)
-            elapsed = time.perf_counter() - started
+            outcomes = self.backend.map([points[index] for index in misses])
             _BATCHES_TOTAL.inc(backend=self.backend.name)
-            # One observation per point (so _count tracks points, not
-            # batches), each at the batch's per-point average.
-            for _ in todo:
-                _POINT_SECONDS.observe(elapsed / len(todo),
-                                       backend=self.backend.name)
             first_error = None
             # Store every success (and cache it) before raising, so a
             # single failed point does not throw away the rest of the
@@ -526,11 +498,13 @@ class SweepExecutor:
             for index, outcome in zip(misses, outcomes):
                 point = points[index]
                 if outcome[0] == "ok":
-                    result = outcome[1]
-                    sim_cost = outcome[2] if len(outcome) > 2 else None
+                    _, result, sim_cost = outcome
                     results[index] = result
                     self.stats.simulated += 1
                     _POINTS_TOTAL.inc(outcome="simulated")
+                    if sim_cost is not None:    # a remote worker's null
+                        _POINT_SECONDS.observe(sim_cost,
+                                               backend=self.backend.name)
                     if self.cache is not None:
                         self.cache.put(point, result, sim_cost=sim_cost)
                 else:

@@ -25,9 +25,6 @@ parity suite enforces it):
   method calls per placement;
 * the pending-block queue holds one *range* per ready grid rather than
   one tuple per block, so a grid of B blocks costs O(1) to enqueue;
-* a block's dynamic launches clear the single-server launch queue as one
-  NumPy recurrence (a shifted cumulative maximum) when the batch is
-  large, instead of a per-launch read-modify-write of the server clock;
 * SM occupancy and per-grid timing live in flat arrays indexed by SM and
   grid id; the :class:`GridTiming` objects are materialized once at the
   end.
@@ -42,11 +39,6 @@ import numpy as np
 from ..errors import SimulationError
 from .config import DeviceConfig
 from .trace import HOST_AGG
-
-#: Dynamic-launch batches at least this large clear the launch-queue
-#: recurrence in NumPy; smaller ones stay scalar (array setup would cost
-#: more than it saves). Both paths are exactly equivalent.
-_LAUNCH_BATCH_MIN = 32
 
 _GRID_READY, _BLOCK_FINISH, _LAUNCH_READY = 0, 1, 2
 
@@ -268,34 +260,10 @@ class Simulator:
 
     def _emit_block_launches(self, recs, start, duration):
         """Push one block's dynamic launches through the single-server
-        launch queue (fixed service interval), accumulating queue wait.
-
-        Large batches use the closed form of the server recurrence
-        ``ready[i] = max(arrival[i], ready[i-1]) + interval``: with
-        ``t[i] = ready[i] - (i + 1) * interval`` it becomes a running
-        maximum of ``arrival[i] - i * interval``, which NumPy computes in
-        one ``maximum.accumulate`` — identical results, no per-launch
-        Python arithmetic.
-        """
+        launch queue (fixed service interval), accumulating queue wait."""
         interval = self.config.launch_service_interval
         latency = self.config.device_launch_latency
-        count = len(recs)
-        self.device_launches += count
-        if count >= _LAUNCH_BATCH_MIN:
-            offsets = np.fromiter((rec.issue_offset for rec in recs),
-                                  dtype=np.int64, count=count)
-            arrival = start + np.minimum(offsets, duration)
-            shifted = arrival - np.arange(count, dtype=np.int64) * interval
-            shifted[0] = max(shifted[0], self.launch_server_free)
-            ready = (np.maximum.accumulate(shifted)
-                     + np.arange(1, count + 1, dtype=np.int64) * interval)
-            self.launch_queue_wait += int(
-                (ready - arrival).sum()) - count * interval
-            self.launch_server_free = int(ready[-1])
-            ready_list = (ready + latency).tolist()
-            for rec, rec_ready in zip(recs, ready_list):
-                self._push(rec_ready, _LAUNCH_READY, rec)
-            return
+        self.device_launches += len(recs)
         server_free = self.launch_server_free
         wait = 0
         for rec in recs:

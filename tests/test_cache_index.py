@@ -1,19 +1,19 @@
 """The keyed cache-metadata index (repro.harness.index) and its
 write-through integration with both caches (repro.harness.cache).
 
-The contract under test: the SQLite index is an advisory *mirror* of
-metadata the blobs themselves carry — hit counts, measured sim costs,
-creation times — so deleting ``index.sqlite`` and running
-``repro cache reindex`` reconstructs an equivalent index; and the index
-feeds the introspection (``top``/``stats``) and cost-aware eviction
-surfaces without ever being load-bearing for correctness. The warm hit
-path stays read-only on the blob (hits bump atomically in the index);
-``sync_hits`` — run implicitly by ``prune``/``reindex`` — folds the
-accumulated counts back into the blobs' ``meta`` blocks.
+The contract under test: every blob carries the facts fixed when it was
+stored (spec, measured sim cost, creation time, cache version) and the
+SQLite index mirrors them, so deleting ``index.sqlite`` and running
+``repro cache reindex`` restores them. Hit counts live only in the
+index: a warm hit, a prune and a reindex never rewrite a blob, reindex
+keeps a live index's counts, and a deleted index resets them to 0. The
+index feeds the introspection (``top``/``stats``) and cost-aware
+eviction surfaces without ever being load-bearing for correctness.
 """
 
 import json
 import os
+import pickle
 
 import pytest
 
@@ -50,6 +50,22 @@ def make_result(threshold):
                      launch_queue_wait=5)
 
 
+def _blobs(cache):
+    """{path: (bytes, mtime_ns)} for every result and figure blob."""
+    found = {}
+    for root, _, names in os.walk(cache.cache_dir):
+        for name in names:
+            if name.endswith((".json", ".pkl")):
+                path = os.path.join(root, name)
+                with open(path, "rb") as handle:
+                    found[path] = (handle.read(), os.stat(path).st_mtime_ns)
+    return found
+
+
+def _contents(blobs):
+    return {path: data for path, (data, _) in blobs.items()}
+
+
 def _delete_index_files(cache):
     cache.index.close()
     for suffix in ("", "-wal", "-shm"):
@@ -76,48 +92,59 @@ class TestWriteThrough:
             assert row["cache_version"] == cache_mod.CACHE_VERSION
             assert row["spec"]["benchmark"] in ("BFS", "SSSP")
 
-    def test_hit_bumps_index_only_then_sync_folds_into_blob(self, tmp_path):
-        """The hot path is read-only on the blob: hits accumulate in the
-        index (atomic SQL increment) and sync_hits() folds them into the
-        blob's meta block lazily."""
+    def test_hit_bumps_index_only(self, tmp_path):
+        """A hit never rewrites a blob, result or figure: the count
+        accumulates in the index (an atomic SQL increment) alone."""
         cache = _filled_cache(tmp_path)
-        point = POINTS[0]
-        key = point_key(point)
-        path = os.path.join(cache.cache_dir, key + ".json")
-        before = open(path).read()
-        cache.get(point)
-        cache.get(point)
-        assert cache.index.get(key)["hits"] == 2
-        assert open(path).read() == before          # blob untouched
-        assert cache.sync_hits() == 1
-        with open(path) as handle:
-            payload = json.load(handle)
-        assert payload["meta"]["hits"] == 2
-        assert cache.index.get(key)["hits"] == 2
-        assert cache.sync_hits() == 0               # idempotent
-
-    def test_prune_folds_hits_before_evicting(self, tmp_path):
-        """A real prune makes accumulated hit counts durable in the
-        surviving blobs (the documented fold point)."""
-        cache = _filled_cache(tmp_path)
-        key = point_key(POINTS[0])
+        figures = FigureArtifactCache(cache.cache_dir)
+        figures.put("fig9", {"scale": "0.25"}, {"rows": [1]})
+        before = _contents(_blobs(cache))
         cache.get(POINTS[0])
-        cache.prune()                               # no limits: fold only
-        with open(os.path.join(cache.cache_dir, key + ".json")) as handle:
-            assert json.load(handle)["meta"]["hits"] == 1
-        assert len(cache) == len(POINTS)
+        cache.get(POINTS[0])
+        figures.get("fig9", {"scale": "0.25"})
+        assert _contents(_blobs(cache)) == before
+        assert cache.index.get(point_key(POINTS[0]))["hits"] == 2
+        figure_row, = [r for r in cache.index.entries()
+                       if r["kind"] == "figure"]
+        assert figure_row["hits"] == 1
+
+    def test_new_blobs_carry_no_meta_hits(self, tmp_path):
+        cache = _filled_cache(tmp_path)
+        figures = FigureArtifactCache(cache.cache_dir)
+        figures.put("fig9", {"scale": "0.25"}, {"rows": []})
+        path = os.path.join(cache.cache_dir,
+                            point_key(POINTS[0]) + ".json")
+        with open(path) as handle:
+            meta = json.load(handle)["meta"]
+        with open(figures._path("fig9", {"scale": "0.25"}), "rb") as handle:
+            figure_meta = pickle.load(handle)["meta"]
+        for block in (meta, figure_meta):
+            assert "hits" not in block
+            assert set(block) == {"sim_cost_seconds", "created",
+                                  "cache_version"}
 
     def test_hit_resurrects_missing_index_row(self, tmp_path):
         """bump_hit falls back to a full record when the row is gone
-        (e.g. a fresh index), rebuilding it from the blob's meta."""
+        (e.g. a fresh index), rebuilding it from the blob's meta with
+        this one hit — earlier counts died with the old row."""
         cache = _filled_cache(tmp_path)
         cache.get(POINTS[0])
-        cache.sync_hits()
+        cache.get(POINTS[0])
+        # An older v4 blob may carry a meta.hits field; it is ignored,
+        # not resumed.
+        path = os.path.join(cache.cache_dir,
+                            point_key(POINTS[0]) + ".json")
+        with open(path) as handle:
+            payload = json.load(handle)
+        payload["meta"]["hits"] = 5
+        with open(path, "w") as handle:
+            json.dump(payload, handle)
         cache.index.clear()
         assert cache.get(POINTS[0]) is not None
         row = cache.index.get(point_key(POINTS[0]))
-        assert row["hits"] == 2                     # blob's 1 + this hit
+        assert row["hits"] == 1
         assert row["sim_cost_seconds"] is not None
+        assert row["spec"] == POINTS[0].spec()
 
     def test_direct_put_records_supplied_cost(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
@@ -151,16 +178,33 @@ class TestWriteThrough:
 
 
 class TestRebuild:
-    def test_reindex_recovers_hits_and_costs_from_blobs(self, tmp_path):
-        """The acceptance scenario: after a fold (sync_hits — prune and
-        reindex run it implicitly), delete index.sqlite, rebuild from
-        the blobs, and the hit counts / sim costs match the live
-        index."""
+    def test_reindex_keeps_live_hit_counts(self, tmp_path):
+        """Reindexing over a readable index keeps the hit counts of
+        every blob that still exists and drops rows whose blob is gone,
+        without rewriting a blob."""
         cache = _filled_cache(tmp_path)
         cache.get(POINTS[0])
         cache.get(POINTS[0])
         cache.get(POINTS[1])
-        assert cache.sync_hits() == 2
+        gone = os.path.join(cache.cache_dir, point_key(POINTS[1]) + ".json")
+        os.remove(gone)
+        before = _contents(_blobs(cache))
+        assert cache.reindex() == len(POINTS) - 1
+        assert _contents(_blobs(cache)) == before
+        hits = {row["key"]: row["hits"] for row in cache.index.entries()}
+        assert point_key(POINTS[1]) not in hits
+        assert hits[point_key(POINTS[0])] == 2
+        assert sorted(hits.values()) == [0] * (len(POINTS) - 2) + [2]
+
+    def test_reindex_after_index_deleted_restores_blob_facts(self,
+                                                              tmp_path):
+        """Delete index.sqlite and rebuild from the blobs: every creation
+        fact matches the live index; hit counts, stored only in the
+        index, start again at 0."""
+        cache = _filled_cache(tmp_path)
+        cache.get(POINTS[0])
+        cache.get(POINTS[0])
+        cache.get(POINTS[1])
         want = {row["key"]: row for row in cache.index.entries()}
         _delete_index_files(cache)
 
@@ -169,11 +213,12 @@ class TestRebuild:
         got = {row["key"]: row for row in rebuilt.index.entries()}
         assert set(got) == set(want)
         for key, row in got.items():
-            for field in ("kind", "spec", "bytes", "hits",
-                          "sim_cost_seconds", "cache_version"):
+            for field in ("kind", "spec", "bytes", "sim_cost_seconds",
+                          "cache_version"):
                 assert row[field] == want[key][field], \
                     "reindex diverged on %s of %s" % (field, key)
             assert row["created"] == pytest.approx(want[key]["created"])
+            assert row["hits"] == 0
 
     def test_reindex_covers_figures(self, tmp_path):
         root = str(tmp_path / "cache")
@@ -181,13 +226,16 @@ class TestRebuild:
         figures = FigureArtifactCache(root)
         figures.put("fig9", {"scale": "0.25"}, {"rows": []})
         figures.get("fig9", {"scale": "0.25"})
-        assert cache.sync_hits() == 1       # folds the figure blob too
+        assert cache.reindex() == 1
+        row, = cache.index.entries()
+        assert row["kind"] == "figure"
+        assert row["spec"] == {"figure": "fig9", "spec": {"scale": "0.25"}}
+        assert row["hits"] == 1                     # kept from the live index
         _delete_index_files(cache)
         rebuilt = ResultCache(root)
         assert rebuilt.reindex() == 1
         row, = rebuilt.index.entries()
-        assert row["kind"] == "figure"
-        assert row["hits"] == 1
+        assert (row["kind"], row["hits"]) == ("figure", 0)
 
     def test_reindex_recovers_from_garbage_index_file(self, tmp_path):
         cache = _filled_cache(tmp_path)
@@ -289,6 +337,23 @@ class TestEviction:
         assert "would prune" in report.format()
         assert len(cache) == len(POINTS)            # nothing touched
         assert len(cache.index.entries()) == len(POINTS)
+
+    def test_prune_without_limits_leaves_blobs_untouched(self, tmp_path):
+        """prune() never rewrites a survivor: bytes and mtimes (the LRU
+        order) stay exactly as they were, and so do the index's hit
+        counts."""
+        cache = _filled_cache(tmp_path)
+        FigureArtifactCache(cache.cache_dir).put("fig9", {"scale": "0.25"},
+                                                 {"rows": []})
+        cache.get(POINTS[0])
+        for age, path in enumerate(sorted(_blobs(cache))):
+            stamp = 1_000_000 + age         # distinct, long past
+            os.utime(path, (stamp, stamp))
+        before = _blobs(cache)
+        report = cache.prune()
+        assert report.removed_entries == 0
+        assert _blobs(cache) == before
+        assert cache.index.get(point_key(POINTS[0]))["hits"] == 1
 
     def test_prune_removes_index_rows(self, tmp_path):
         cache = _filled_cache(tmp_path)

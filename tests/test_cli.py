@@ -113,8 +113,7 @@ class TestSweepCommand:
 
 
 class TestSweepBackendFlag:
-    @pytest.mark.parametrize("backend", ("serial", "process", "thread",
-                                         "futures"))
+    @pytest.mark.parametrize("backend", ("serial", "process", "thread"))
     def test_backend_selected(self, backend, capsys):
         args = ["sweep", "--pairs", "BFS:KRON", "--variants", "CDP",
                 "--scale", "0.08", "--no-cache", "--jobs", "2",

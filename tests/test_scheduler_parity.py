@@ -96,17 +96,3 @@ def test_corpus_covers_all_benchmarks_and_labels():
     assert len(names) == 7
     assert {label for _, label in CASES} == set(VARIANT_LABELS)
 
-
-def test_vectorized_launch_batch_path_matches_scalar_path():
-    """Force both sides of the _LAUNCH_BATCH_MIN split over one trace."""
-    import repro.sim.scheduler as sched
-    bench = next(b for b in all_benchmarks() if b.name == "BFS")
-    trace = trace_for(bench, "CDP")
-    want = simulate_reference(trace, DeviceConfig())
-    original = sched._LAUNCH_BATCH_MIN
-    try:
-        for forced in (1, 1 << 30):     # always-NumPy vs always-scalar
-            sched._LAUNCH_BATCH_MIN = forced
-            assert simulate(trace, DeviceConfig()) == want
-    finally:
-        sched._LAUNCH_BATCH_MIN = original

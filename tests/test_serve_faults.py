@@ -96,7 +96,10 @@ class TestExecutorCrashMidPoint:
         statuses = []
 
         def one(threshold):
-            status, _ = fetch(server, cold_point(threshold))
+            # One identity per waiter: three requests sharing one would
+            # meet the fixture's max_inflight=2 cap, not the crash.
+            status, _ = fetch(server, cold_point(threshold),
+                              {"X-Repro-Client": "waiter-%d" % threshold})
             statuses.append(status)
 
         threads = [threading.Thread(target=one, args=(t,))

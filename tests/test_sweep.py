@@ -336,6 +336,24 @@ class TestResultCache:
         again.run([point])
         assert again.stats.hits == 1
 
+    def test_point_histogram_observes_each_points_sim_cost(self,
+                                                           tmp_path):
+        """repro_sweep_point_seconds gets one observation per simulated
+        point, of that point's own measured sim time (the cost the index
+        records), not a share of the batch's wall time."""
+        histogram = sweep_mod._POINT_SECONDS
+        cache = ResultCache(str(tmp_path / "cache"))
+        points = small_grid()[:2]
+        # The registry is process-global, so assert deltas, not totals.
+        count0 = histogram.count(backend="serial")
+        sum0 = histogram.sum(backend="serial")
+        SweepExecutor(jobs=1, cache=cache).run(points)
+        costs = [cache.index.get(point_key(point))["sim_cost_seconds"]
+                 for point in points]
+        assert histogram.count(backend="serial") == count0 + 2
+        assert histogram.sum(backend="serial") - sum0 \
+            == pytest.approx(sum(costs), rel=1e-9)
+
     def test_result_roundtrip_is_exact(self, serial_results):
         for result in serial_results:
             assert RunResult.from_dict(result.to_dict()) == result
