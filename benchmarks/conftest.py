@@ -3,7 +3,8 @@
 Every bench regenerates one table or figure of the paper and writes the
 formatted result to ``benchmarks/out/``. Scales are chosen so the full
 suite completes in minutes on a laptop; pass ``--repro-scale`` to raise
-them (EXPERIMENTS.md records runs at scale 0.5).
+them. Run the drivers by name (``python -m pytest benchmarks/bench_*.py``):
+pytest collects only ``test_*.py`` by default.
 """
 
 import os
@@ -50,8 +51,8 @@ def sweep_executor(request):
     worker daemons, and ``--repro-cache DIR`` makes re-runs skip
     already-simulated points. With no flag this is None: the figure
     benches then take the historical serial path, which also
-    cross-checks every simulated point's outputs against the No-CDP
-    reference (executor workers return timings only).
+    cross-checks the outputs of every Fig. 9, 11 and 12 point against
+    the No-CDP reference (executor workers return timings only).
     """
     from repro.harness import ResultCache, SweepExecutor
 

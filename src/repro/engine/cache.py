@@ -22,7 +22,7 @@ invalidation contract in ``docs/architecture.md``).
 Hit/miss traffic is exported through the process metrics registry as
 ``repro_codegen_cache_lookups_total{outcome}`` (scraped via the query
 service's ``GET /metrics``) and per-instance via :meth:`stats` — the
-``BENCH_engine.json`` benchmark asserts against both.
+repository benchmark (``perfbench/``) reads both.
 """
 
 import hashlib
@@ -145,8 +145,8 @@ class CompiledKernelCache:
             return len(self._entries)
 
     def stats(self):
-        """JSON-able hit/miss/size snapshot (``BENCH_engine.json`` and the
-        engine tests read this)."""
+        """JSON-able hit/miss/size snapshot (the repository benchmark and
+        the engine tests read this)."""
         with self._lock:
             return {"hits": self.hits, "misses": self.misses,
                     "entries": len(self._entries),

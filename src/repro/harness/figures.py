@@ -71,11 +71,9 @@ def _format_table(headers, rows, title=""):
     return "\n".join(lines)
 
 
-def _run_point(bench, data, label, params, device_config, executor, scale,
-               check_against=None):
+def _run_point(bench, data, label, params, device_config, executor, scale):
     """One measurement — through the sweep engine when an executor is given
-    (parallelizable, cacheable; skips the per-point output check, which the
-    serial path still performs)."""
+    (parallelizable, cacheable), else in-process."""
     if executor is not None and scale is not None:
         from .sweep import SweepPoint
         # Figures cannot represent a failed point: force it to raise.
@@ -83,8 +81,7 @@ def _run_point(bench, data, label, params, device_config, executor, scale,
             bench.name, getattr(data, "name", "?"), label,
             params or TuningParams(), device_config or DeviceConfig(),
             scale), on_error="raise")
-    return run_variant(bench, data, label, params, device_config,
-                       check_against=check_against)
+    return run_variant(bench, data, label, params, device_config)
 
 
 # -- Table I -----------------------------------------------------------------

@@ -162,7 +162,7 @@ class TestServingDocs:
         text = (DOCS / "serving.md").read_text()
         for needle in ("503", "504", "QueueFullError",
                        "DeadlineExceededError", "dedup",
-                       "drain", "Prometheus", "BENCH_serve.json"):
+                       "drain", "Prometheus", "perfbench"):
             assert needle in text, \
                 "serving.md lost the %r semantics" % needle
 
@@ -200,14 +200,14 @@ class TestServingDocs:
 
     def test_quota_and_auth_surface_documented(self):
         """The multi-tenant hardening surface — headers, status codes,
-        flags, file format, metrics, and the load-bench artifact — must
+        flags, file format, metrics, and where load is measured — must
         all be spelled out on the serving page."""
         text = (DOCS / "serving.md").read_text()
         for needle in ("429", "401", "Retry-After", "X-Repro-Client",
                        "X-Repro-Api-Key", "QuotaExceededError",
                        "AuthError", "--api-keys-file", "--quota-rps",
                        "--quota-burst", "--quota-max-inflight",
-                       "token bucket", "BENCH_load.json",
+                       "token bucket", "perfbench",
                        "repro_quota_rejections_total",
                        "repro_quota_tokens", "repro_quota_inflight"):
             assert needle in text, \

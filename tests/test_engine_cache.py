@@ -168,7 +168,8 @@ class TestProcessWideWiring:
 
     def test_run_variant_cold_then_warm(self, monkeypatch):
         """The harness path (run_variant → bench.run → module_for) hits
-        the codegen cache on the second identical point."""
+        the codegen cache on the second identical point, and the cache
+        is invisible to the result."""
         from repro.benchmarks import get_benchmark
         from repro.harness import run_variant
 
@@ -176,10 +177,11 @@ class TestProcessWideWiring:
         monkeypatch.setattr("repro.engine.cache.KERNEL_CACHE", kernels)
         bench = get_benchmark("BFS")
         data = bench.build_dataset("KRON", 0.05)
-        run_variant(bench, data, "CDP+T", TuningParams(threshold=16))
+        cold = run_variant(bench, data, "CDP+T", TuningParams(threshold=16))
         stats_cold = kernels.stats()
         assert stats_cold["misses"] > 0
-        run_variant(bench, data, "CDP+T", TuningParams(threshold=16))
+        warm = run_variant(bench, data, "CDP+T", TuningParams(threshold=16))
         stats_warm = kernels.stats()
         assert stats_warm["misses"] == stats_cold["misses"]
         assert stats_warm["hits"] > stats_cold["hits"]
+        assert warm == cold

@@ -13,6 +13,9 @@ cardinality for client-supplied identities.
 """
 
 import json
+import statistics
+import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -262,9 +265,9 @@ def fetch(server, path, headers=None, data=None):
         return exc.code, dict(exc.headers), json.loads(exc.read())
 
 
-def cold_point(threshold):
+def cold_point(threshold, scale=SCALE):
     return ("/point?benchmark=BFS&dataset=KRON&label=CDP%%2BT"
-            "&threshold=%d&scale=%s" % (threshold, SCALE))
+            "&threshold=%d&scale=%s" % (threshold, scale))
 
 
 @pytest.fixture
@@ -272,6 +275,21 @@ def quota_server(tmp_path):
     quotas = QuotaManager(default=ClientQuota(rate=0.001, burst=1),
                           known=("alice", "bob"))
     srv = ServeServer(cache_dir=str(tmp_path / "cache"), quota=quotas)
+    srv.start()
+    yield srv
+    srv.close()
+
+
+@pytest.fixture
+def tenant_server(tmp_path):
+    """Two tenants side by side: a steady one with a generous bucket and
+    a greedy one with a tight bucket and a two-miss in-flight cap."""
+    quotas = QuotaManager(
+        overrides={"steady": ClientQuota(rate=50, burst=100),
+                   "greedy": ClientQuota(rate=1, burst=2, max_inflight=2)},
+        known=("steady", "greedy"))
+    srv = ServeServer(cache_dir=str(tmp_path / "cache"), miss_workers=2,
+                      quota=quotas)
     srv.start()
     yield srv
     srv.close()
@@ -370,6 +388,67 @@ class TestQuotaOverHttp:
         text = urllib.request.urlopen(url, timeout=60).read().decode()
         assert "mallory-unbounded-identity" not in text
         assert 'repro_quota_rejections_total{client="other"' in text
+
+    def test_two_tenants_isolated_under_concurrent_load(self, tenant_server):
+        """While a greedy tenant's cold requests are throttled, a steady
+        tenant's warm hits stay unthrottled and fast; afterwards every
+        admitted miss has completed and every lease is released."""
+        scale = "0.02"
+        steady = {"X-Repro-Client": "steady"}
+        greedy = {"X-Repro-Client": "greedy", "X-Repro-Priority": "low"}
+        hot = [cold_point(threshold, scale) for threshold in (16, 32, 64)]
+        for path in hot:
+            assert fetch(tenant_server, path)[0] == 200
+
+        def warm_hits(count, out):
+            for index in range(count):
+                started = time.perf_counter()
+                status, _, payload = fetch(tenant_server,
+                                           hot[index % len(hot)], steady)
+                out.append((status, payload.get("cache"),
+                             time.perf_counter() - started))
+
+        def cold_requests(thresholds, out):
+            # Distinct specs: no answer can be a warm hit, so each one
+            # needs a token and the 12 requests outrun burst 2 + 1/s.
+            for threshold in thresholds:
+                status, headers, _ = fetch(
+                    tenant_server, cold_point(threshold, scale), greedy)
+                out.append((status, headers.get("Retry-After")))
+
+        unloaded = []
+        warm_hits(15, unloaded)
+        assert all(answer[:2] == (200, "hit") for answer in unloaded)
+        unloaded_p50 = statistics.median(answer[2] for answer in unloaded)
+
+        loaded, throttled = [], []
+        threads = [threading.Thread(target=warm_hits, args=(60, loaded))]
+        threads += [threading.Thread(target=cold_requests,
+                                     args=(range(300 + offset, 312, 3),
+                                           throttled))
+                    for offset in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+
+        assert len(loaded) == 60 and len(throttled) == 12
+        assert all(answer[:2] == (200, "hit") for answer in loaded)
+        rejected = [answer for answer in throttled if answer[0] == 429]
+        assert rejected, throttled
+        assert all(retry_after is not None for _, retry_after in rejected)
+        assert {status for status, _ in throttled} <= {200, 429}
+        loaded_p50 = statistics.median(answer[2] for answer in loaded)
+        assert loaded_p50 <= max(20 * unloaded_p50, 0.25), \
+            (loaded_p50, unloaded_p50)
+
+        _, _, info = fetch(tenant_server, "/cache/info")
+        queue = info["queue"]
+        assert queue["submitted"] == queue["completed"], queue
+        assert queue["shed"] == queue["depth"] == queue["inflight"] == 0
+        for entry in info["quota"]["clients"].values():
+            assert entry["inflight"] == 0
 
 
 class TestAuthOverHttp:

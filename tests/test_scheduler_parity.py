@@ -1,11 +1,12 @@
-"""Golden parity suite: vectorized scheduler/accounting vs the oracle.
+"""Golden parity suite: vectorized scheduler vs the oracle, breakdown pinned.
 
-The vectorized :mod:`repro.sim.scheduler` and the batched
-:func:`repro.sim.metrics.breakdown` must be *bit-identical* to the
-pre-vectorization implementations — the timing model is the reproduction's
+The vectorized :mod:`repro.sim.scheduler` must be *bit-identical* to the
+pre-vectorization implementation, and :func:`repro.sim.metrics.breakdown`
+to the scalar accounting loop — the timing model is the reproduction's
 ground truth, so "almost the same" is a regression. The oracle scheduler is
-kept verbatim in :mod:`repro.sim.scheduler_ref`; the scalar breakdown loop
-is small enough to inline here.
+kept verbatim in :mod:`repro.sim.scheduler_ref`. ``breakdown`` is itself a
+scalar loop; a verbatim copy is inlined here so an edit to the production
+loop cannot silently change the accounting.
 
 The corpus is every benchmark (Table I's seven) × every variant label
 (Fig. 9's nine series) at a small fixed scale, each replayed on the default

@@ -572,6 +572,7 @@ class TestMetricsEndpoint:
                        "repro_serve_request_seconds",
                        "repro_serve_point_cache_total",
                        "repro_queue_submitted_total",
+                       "repro_queue_dedup_joins_total",
                        "repro_queue_depth",
                        "repro_queue_wait_seconds",
                        "repro_sweep_points_total",
