@@ -23,8 +23,8 @@ def pytest_addoption(parser):
                      help="worker processes for the sweep engine "
                           "(1 = in-process serial)")
     parser.addoption("--repro-backend", action="store", default=None,
-                     help="sweep backend: serial, process, thread, "
-                          "or remote (default: serial for "
+                     help="sweep backend: serial, process or remote "
+                          "(default: serial for "
                           "--repro-jobs 1, process otherwise; remote "
                           "needs --repro-workers)")
     parser.addoption("--repro-workers", action="store", default=None,
@@ -46,7 +46,7 @@ def sweep_executor(request):
     """The shared sweep engine the benches route their run grids through.
 
     ``--repro-jobs N`` parallelizes, ``--repro-backend`` picks the
-    execution backend (serial/process/thread/remote),
+    execution backend (serial/process/remote),
     ``--repro-workers HOST:PORT,...`` shards the grids across remote
     worker daemons, and ``--repro-cache DIR`` makes re-runs skip
     already-simulated points. With no flag this is None: the figure

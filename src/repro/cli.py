@@ -554,7 +554,7 @@ def build_parser():
     p_sweep = sub.add_parser(
         "sweep", help="run a (pairs x variants) grid through the parallel "
                       "sweep engine with a persistent result cache "
-                      "(--backend serial|process|thread|remote, "
+                      "(--backend serial|process|remote, "
                       "--keep-going to continue past failed points)")
     p_sweep.add_argument("--grid", choices=sorted(_SWEEP_GRIDS),
                          default="fig9",

@@ -11,7 +11,7 @@ points. This cache memoizes the whole compile pipeline per
 pay artifact *instantiation* (``exec`` of a cached code object into a
 fresh namespace), never recompilation. Instantiation keeps runs isolated:
 two Modules built from one artifact share no mutable state, so the cache
-is safe under the thread backend and the serve miss scheduler.
+is safe under the serve miss scheduler's worker threads.
 
 The key deliberately embeds the same version token as the on-disk result
 cache (``repro.__version__`` plus ``harness.cache.CACHE_VERSION``): one

@@ -23,12 +23,11 @@ from .tuning import FULL_THRESHOLDS
 from .variants import TuningParams, uses
 
 
-def predict_threshold(bench, data, keep_fraction=0.25, device_config=None):
+def predict_threshold(bench, data, keep_fraction=0.25):
     """The Sec. VIII-C threshold rule: pick the smallest power-of-two
     threshold that still admits about *keep_fraction* of the original
     dynamic launches (the scaled analogue of "6,000-8,000 launches")."""
-    sizes = sorted(child_launch_sizes(bench, data,
-                                      device_config=device_config))
+    sizes = sorted(child_launch_sizes(bench, data))
     if not sizes:
         return 1
     target = max(1, int(len(sizes) * keep_fraction))
@@ -75,8 +74,7 @@ def quick_tune(bench, data, label="CDP+T+C+A", device_config=None,
     :returns: a :class:`QuickTuneResult` (best params, best time, run
         count, and every point evaluated).
     """
-    threshold = predict_threshold(bench, data, keep_fraction,
-                                  device_config=device_config) \
+    threshold = predict_threshold(bench, data, keep_fraction) \
         if uses(label, "T") else None
     cfactor = 8 if uses(label, "C") else None
     granularities = ("block", "multiblock", "grid") if uses(label, "A") \

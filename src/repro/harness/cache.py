@@ -82,6 +82,9 @@ _EVICTIONS = REGISTRY.counter(
 #: SQLite metadata index (harness.index) can be rebuilt from blobs alone.
 #: (New blobs no longer carry "hits": the count lives only in the index,
 #: and readers ignore the field in older v4 blobs, so no bump.)
+#: (Point specs dropped the unused DeviceConfig fields warp_size and
+#: pending_launch_limit: every point key changed but no result did, so
+#: no bump; existing caches go cold once.)
 CACHE_VERSION = 4
 
 #: Default age (seconds) past which a stranded ``.tmp`` file is considered

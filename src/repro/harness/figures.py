@@ -389,8 +389,7 @@ def _figure11(bench_name, dataset_name, scale, coarsen_factor,
     reference = run_variant(bench, data, "No CDP",
                             device_config=device_config, keep_outputs=True)
     cdp = run_variant(bench, data, "CDP", device_config=device_config)
-    thresholds = [None] + threshold_candidates(bench, data,
-                                               device_config=device_config)
+    thresholds = [None] + threshold_candidates(bench, data)
     cells = []
     for granularity in ("grid", "multiblock", "block", "warp", "none"):
         for threshold in thresholds:

@@ -86,7 +86,9 @@ __all__ = [
 #: ``repro.__version__``.
 #: 2: ok outcomes carry the measured per-point simulation wall time
 #: (``["ok", result, sim_seconds]``) for the cache metadata index.
-PROTOCOL_VERSION = 2
+#: 3: point specs drop the unused ``warp_size`` and
+#: ``pending_launch_limit`` device fields.
+PROTOCOL_VERSION = 3
 
 #: Default seconds to wait for one chunk result before declaring the
 #: worker dead (simulated chunks are minutes at most; a silent worker past

@@ -7,6 +7,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ReproError
+from ..runtime.host import Device
 from ..sim.config import DeviceConfig
 from .variants import TuningParams, variant_to_run
 
@@ -155,18 +156,15 @@ def geomean(values):
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
-def child_launch_sizes(bench, data, device_config=None):
+def child_launch_sizes(bench, data):
     """Thread counts of every dynamic launch the CDP version performs.
 
     Used to bound the threshold sweep ("not tuned beyond the largest dynamic
-    launch size", Sec. VII) and by the guided tuner. *device_config* must be
-    forwarded by callers that run the rest of their sweep on a non-default
-    device, so the probe observes the same simulated GPU.
+    launch size", Sec. VII) and by the guided tuner. The sizes come from
+    the functional trace, which no simulated device changes, so the probe
+    drives the CDP module and runs no timing simulation.
     """
-    outputs, timing, device = bench.run(data, "cdp",
-                                        device_config=device_config)
-    sizes = []
-    for grid in device.trace.grids:
-        if grid.is_dynamic:
-            sizes.append(grid.grid_dim * grid.block_dim)
-    return sizes
+    device = Device(bench.module_for("cdp"))
+    bench.drive(device, data)
+    return [grid.grid_dim * grid.block_dim for grid in device.trace.grids
+            if grid.is_dynamic]

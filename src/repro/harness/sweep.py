@@ -13,9 +13,6 @@ CLI):
 * ``serial`` — in-process loop; the default for ``jobs <= 1``;
 * ``process`` — a ``multiprocessing`` pool (fork where available); the
   default for ``jobs > 1``;
-* ``thread`` — a ``concurrent.futures.ThreadPoolExecutor``; the simulator
-  is GIL-bound pure Python so this rarely speeds anything up, but it
-  shares the in-process dataset memo and needs no pickling;
 * ``remote`` — shard chunks over ``repro worker serve`` daemons on other
   machines (:mod:`repro.harness.remote`; needs ``workers=`` /
   ``--workers``).
@@ -36,7 +33,6 @@ identical to a serial one — the test suite enforces this across every
 backend.
 """
 
-import concurrent.futures
 import multiprocessing
 import os
 import threading
@@ -177,10 +173,10 @@ class PointFailure:
 
 #: Per-process (benchmark, dataset) memo — points of one sweep usually share
 #: a handful of datasets, and construction is deterministic, so reuse is
-#: both safe and a large constant-factor win. The thread backend shares it
-#: across worker threads, so lookup/insert/evict hold a lock (dataset
-#: construction itself runs outside it; a racing duplicate build is
-#: wasteful but deterministic, hence harmless).
+#: both safe and a large constant-factor win. ``repro serve``'s miss
+#: workers are threads that share it, so lookup/insert/evict hold a lock
+#: (dataset construction itself runs outside it; a racing duplicate build
+#: is wasteful but deterministic, hence harmless).
 _DATASET_MEMO = {}
 _DATASET_MEMO_LIMIT = 8
 _DATASET_MEMO_LOCK = threading.Lock()
@@ -306,34 +302,9 @@ class ProcessBackend(Backend):
             self._pool = None
 
 
-class ThreadBackend(Backend):
-    """``ThreadPoolExecutor``: shares the dataset memo, needs no pickling."""
-
-    name = "thread"
-
-    def __init__(self, jobs=1, chunk_size=None):
-        super().__init__(jobs, chunk_size)
-        self._executor = None
-
-    def map(self, points):
-        if self.jobs <= 1 or len(points) <= 1:
-            return [_safe_worker(point) for point in points]
-        if self._executor is None:
-            self._executor = concurrent.futures.ThreadPoolExecutor(
-                max_workers=self.jobs)
-        return list(self._executor.map(_safe_worker, points,
-                                       chunksize=self._chunk(len(points))))
-
-    def close(self):
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-
 #: Registry of backend names; ``repro.harness.remote`` adds ``remote`` when
 #: it is imported (the ``repro.harness`` package always imports it).
-BACKENDS = {cls.name: cls for cls in
-            (SerialBackend, ProcessBackend, ThreadBackend)}
+BACKENDS = {cls.name: cls for cls in (SerialBackend, ProcessBackend)}
 
 
 def make_backend(backend, jobs=1, chunk_size=None, workers=None,
@@ -433,7 +404,7 @@ class SweepExecutor:
     touches the simulator or spawns a pool.
 
     ``backend`` is a name from :data:`BACKENDS` (``serial``, ``process``,
-    ``thread``, ``remote``) or an instance; unset, it is
+    ``remote``) or an instance; unset, it is
     ``serial`` for ``jobs <= 1``, ``process`` otherwise, and ``remote``
     when ``workers=`` (host:port worker-daemon addresses) is given.
     Pool-backed backends are created lazily on the first miss batch and

@@ -36,8 +36,7 @@ class TuneOutcome:
     evaluated: list = field(default_factory=list)   # (params, total_time)
 
 
-def threshold_candidates(bench, data, cap_to_largest=True, coarse=False,
-                         device_config=None):
+def threshold_candidates(bench, data, cap_to_largest=True, coarse=False):
     """Power-of-two thresholds up to the largest dynamic launch size.
 
     Sec. VII: "the threshold is not tuned beyond the largest dynamic launch
@@ -46,7 +45,7 @@ def threshold_candidates(bench, data, cap_to_largest=True, coarse=False,
     the Fig. 12 methodology, where CDP+T degenerates to serializing
     everything.
     """
-    sizes = child_launch_sizes(bench, data, device_config=device_config)
+    sizes = child_launch_sizes(bench, data)
     largest = max(sizes) if sizes else 1
     candidates = [t for t in FULL_THRESHOLDS if t <= largest]
     if not candidates:
@@ -61,19 +60,16 @@ def threshold_candidates(bench, data, cap_to_largest=True, coarse=False,
     return candidates
 
 
-def _spaces(bench, data, label, strategy, klap_mode, uncapped=False,
-            device_config=None):
+def _spaces(bench, data, label, strategy, klap_mode, uncapped=False):
     if strategy == "exhaustive":
         thresholds = threshold_candidates(bench, data,
-                                          cap_to_largest=not uncapped,
-                                          device_config=device_config)
+                                          cap_to_largest=not uncapped)
         cfactors = DEFAULT_CFACTORS
         granularities = KLAP_GRANULARITIES if klap_mode else ALL_GRANULARITIES
         groups = DEFAULT_GROUP_BLOCKS
     else:
         thresholds = threshold_candidates(bench, data, coarse=True,
-                                          cap_to_largest=not uncapped,
-                                          device_config=device_config)
+                                          cap_to_largest=not uncapped)
         # Sec. VIII-C: insensitive to the factor provided it is large enough.
         cfactors = (8,)
         # Sec. VIII-C: warp granularity is never favorable.
@@ -131,8 +127,7 @@ def tune(bench, data, label, strategy="guided", device_config=None,
     """
     klap_mode = label == "KLAP (CDP+A)"
     thresholds, cfactors, granularities, groups = _spaces(
-        bench, data, label, strategy, klap_mode, uncapped,
-        device_config=device_config)
+        bench, data, label, strategy, klap_mode, uncapped)
     grid = _param_grid(thresholds, cfactors, granularities, groups)
     if executor is not None and scale is not None:
         from .sweep import SweepPoint

@@ -22,7 +22,6 @@ class DeviceConfig:
     num_sms: int = 8
     max_blocks_per_sm: int = 4
     max_threads_per_sm: int = 1024
-    warp_size: int = 32
     issue_width: int = 2              # warp-instructions retired per SM cycle,
                                       # shared by all blocks resident on the SM
     block_overhead: int = 80          # schedule/drain cost per thread block
@@ -31,14 +30,6 @@ class DeviceConfig:
     host_launch_latency: int = 6000   # host-side kernel launch
     host_agg_overhead: int = 9000     # host readback + launch for grid-
                                       # granularity aggregation (Sec. V-A)
-    pending_launch_limit: int = 4096  # CUDA pending-launch buffer pool
-
-    def block_slots(self, block_threads):
-        """Resident blocks per SM for a given block size."""
-        if block_threads <= 0:
-            return self.max_blocks_per_sm
-        by_threads = max(1, self.max_threads_per_sm // max(block_threads, 1))
-        return max(1, min(self.max_blocks_per_sm, by_threads))
 
     def block_service(self, sum_warp_cycles):
         """SM pipeline time one block's work consumes (throughput bound).
@@ -51,8 +42,3 @@ class DeviceConfig:
     def block_latency(self, max_warp_cycles):
         """Lower bound on one block's lifetime (its slowest warp)."""
         return self.block_overhead + max_warp_cycles
-
-    def block_duration(self, max_warp_cycles, sum_warp_cycles):
-        """Duration of a block running *alone* on an SM."""
-        return max(self.block_latency(max_warp_cycles),
-                   self.block_service(sum_warp_cycles))

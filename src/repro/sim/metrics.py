@@ -33,19 +33,8 @@ class Breakdown:
 
     COMPONENTS = ("parent", "child", "launch", "agg", "disagg")
 
-    @property
-    def total(self):
-        return self.parent + self.child + self.launch + self.agg + self.disagg
-
     def as_dict(self):
         return {name: getattr(self, name) for name in self.COMPONENTS}
-
-    def normalized(self, denominator=None):
-        base = denominator if denominator else self.total
-        if base == 0:
-            return {name: 0.0 for name in self.COMPONENTS}
-        return {name: getattr(self, name) / base
-                for name in self.COMPONENTS}
 
 
 def breakdown(trace, config=None):

@@ -53,10 +53,6 @@ class GridRecord:
     def is_dynamic(self):
         return self.launch is not None and self.launch.kind != HOST
 
-    @property
-    def num_launches(self):
-        return len(self.children)
-
 
 @dataclass
 class Trace:
@@ -70,9 +66,6 @@ class Trace:
         record = GridRecord(len(self.grids), kernel, grid_dim, block_dim)
         self.grids.append(record)
         return record
-
-    def dynamic_grids(self):
-        return [g for g in self.grids if g.is_dynamic]
 
     def total_launches(self, kind=None):
         count = 0

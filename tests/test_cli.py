@@ -113,7 +113,7 @@ class TestSweepCommand:
 
 
 class TestSweepBackendFlag:
-    @pytest.mark.parametrize("backend", ("serial", "process", "thread"))
+    @pytest.mark.parametrize("backend", ("serial", "process"))
     def test_backend_selected(self, backend, capsys):
         args = ["sweep", "--pairs", "BFS:KRON", "--variants", "CDP",
                 "--scale", "0.08", "--no-cache", "--jobs", "2",
@@ -127,7 +127,7 @@ class TestSweepBackendFlag:
                 "--threshold", "16", "--scale", "0.08", "--no-cache",
                 "--json"]
         outputs = set()
-        for backend in ("serial", "process", "thread"):
+        for backend in ("serial", "process"):
             assert main(args + ["--jobs", "2", "--backend", backend]) == 0
             outputs.add(capsys.readouterr().out)
         assert len(outputs) == 1

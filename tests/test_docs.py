@@ -3,10 +3,14 @@ the three core pages exist and are linked from the README, and the
 harness docstring examples pass under doctest."""
 
 import doctest
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
 import pytest
+
+import repro.harness
 
 REPO = Path(__file__).resolve().parent.parent
 DOCS = REPO / "docs"
@@ -234,24 +238,39 @@ class TestServingDocs:
         assert "serving.md#the-wire-format" in sweep
 
 
-class TestHarnessDoctests:
-    """The same examples `pytest --doctest-modules src/repro/harness`
-    runs in CI, kept green by the tier-1 suite."""
+#: Harness modules with docstring examples; each must keep at least one.
+MODULES_WITH_EXAMPLES = (
+    "repro.harness.cache",
+    "repro.harness.metrics",
+    "repro.harness.quota",
+    "repro.harness.remote",
+    "repro.harness.runner",
+    "repro.harness.serve",
+    "repro.harness.sweep",
+    "repro.harness.task",
+    "repro.harness.variants",
+)
 
-    @pytest.mark.parametrize("module_name", (
-        "repro.harness.cache",
-        "repro.harness.metrics",
-        "repro.harness.quota",
-        "repro.harness.remote",
-        "repro.harness.runner",
-        "repro.harness.serve",
-        "repro.harness.sweep",
-        "repro.harness.task",
-        "repro.harness.variants",
-    ))
+
+def harness_modules():
+    """The harness package and every module in it, found on disk."""
+    return ["repro.harness"] + sorted(
+        "repro.harness." + info.name
+        for info in pkgutil.iter_modules(repro.harness.__path__))
+
+
+class TestHarnessDoctests:
+    """The docstring examples of every harness module, a new module's
+    included without editing a list."""
+
+    @pytest.mark.parametrize("module_name", harness_modules())
     def test_module_doctests(self, module_name):
-        module = __import__(module_name, fromlist=["_"])
-        result = doctest.testmod(module, verbose=False)
+        result = doctest.testmod(importlib.import_module(module_name),
+                                 verbose=False)
         assert result.failed == 0
-        assert result.attempted > 0, \
-            "%s lost its doctest examples" % module_name
+        if module_name in MODULES_WITH_EXAMPLES:
+            assert result.attempted > 0, \
+                "%s lost its doctest examples" % module_name
+
+    def test_modules_with_examples_exist(self):
+        assert set(MODULES_WITH_EXAMPLES) <= set(harness_modules())

@@ -135,10 +135,3 @@ class TestEndToEndBreakdown:
         assert out == ref
         assert timing.host_agg_launches >= 1
         assert timing.device_launches == 0
-
-    def test_breakdown_total_matches_components(self):
-        _, _, bd = self._run(OptConfig(aggregate="block"))
-        assert bd.total == bd.parent + bd.child + bd.launch + bd.agg \
-            + bd.disagg
-        shares = bd.normalized()
-        assert abs(sum(shares.values()) - 1.0) < 1e-9

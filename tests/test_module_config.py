@@ -56,18 +56,10 @@ class TestModule:
 
 
 class TestDeviceConfig:
-    def test_block_slots_thread_limited(self):
-        config = DeviceConfig(max_blocks_per_sm=16, max_threads_per_sm=1024)
-        assert config.block_slots(1024) == 1
-        assert config.block_slots(512) == 2
-        assert config.block_slots(1) == 16
-
     def test_block_service_and_latency(self):
         config = DeviceConfig(issue_width=2, block_overhead=10)
         assert config.block_service(100) == 60
         assert config.block_latency(100) == 110
-        assert config.block_duration(100, 100) == 110
-        assert config.block_duration(10, 1000) == 510
 
     def test_frozen(self):
         with pytest.raises(Exception):
@@ -126,4 +118,3 @@ class TestTrace:
             grid.launch = LaunchRecord(kind=kind, grid=grid)
         assert trace.total_launches() == 3
         assert trace.total_launches(DEVICE) == 2
-        assert len(trace.dynamic_grids()) == 2

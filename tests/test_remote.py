@@ -74,7 +74,7 @@ class TestProtocol:
 
     def test_workers_reject_local_backends(self):
         with pytest.raises(ValueError, match="remote"):
-            SweepExecutor(backend="thread", workers=[("localhost", 1)])
+            SweepExecutor(backend="process", workers=[("localhost", 1)])
 
     def test_remote_rejects_jobs(self):
         with pytest.raises(ValueError, match="repro worker serve --jobs"):
@@ -308,4 +308,4 @@ class TestFaultTolerance:
         assert executor.backend.timeout == 7.5
         executor.close()
         with pytest.raises(ValueError, match="remote"):
-            SweepExecutor(backend="thread", worker_timeout=7.5)
+            SweepExecutor(backend="process", worker_timeout=7.5)

@@ -1,83 +1,32 @@
 """Regression tests for harness probe/measurement fixes.
 
 Two long-standing hazards: the launch-size probe (``child_launch_sizes``)
-silently ran on the *default* simulated device even when the surrounding
-sweep/tuner was configured for another one, and ``RunResult.speedup_over``
-silently reported 0× when the reference measured zero cycles instead of
-flagging the broken measurement.
+ran a whole timing simulation only to throw it away, and
+``RunResult.speedup_over`` silently reported 0× when the reference
+measured zero cycles instead of flagging the broken measurement.
 """
 
 import pytest
 
 from repro.benchmarks import get_benchmark
 from repro.errors import ReproError
-from repro.harness import (RunResult, TuningParams, child_launch_sizes,
-                           predict_threshold, threshold_candidates)
-from repro.sim.config import DeviceConfig
-
-NON_DEFAULT = DeviceConfig(num_sms=2, launch_service_interval=19,
-                           host_launch_latency=777)
+from repro.harness import RunResult, TuningParams, child_launch_sizes
+from repro.runtime.host import Device
 
 
-class _ProbeSpy:
-    """Benchmark stand-in that records the device_config it was run with."""
+def test_probe_reads_the_trace_without_timing(monkeypatch):
+    bench = get_benchmark("BFS")
+    data = bench.build_dataset("KRON", 0.05)
+    _, _, device = bench.run(data, "cdp")
+    expected = [grid.grid_dim * grid.block_dim
+                for grid in device.trace.grids if grid.is_dynamic]
 
-    name = "SPY"
+    def no_timing(self):
+        raise AssertionError("the launch-size probe ran a timing simulation")
 
-    def __init__(self, sizes=(64, 256)):
-        self.seen_configs = []
-        self._sizes = sizes
-
-    def run(self, data, variant="cdp", config=None, device_config=None,
-            cost_model=None):
-        self.seen_configs.append(device_config)
-
-        class _Grid:
-            is_dynamic = True
-
-            def __init__(self, total):
-                self.grid_dim = 1
-                self.block_dim = total
-
-        class _Device:
-            class trace:
-                grids = [_Grid(total) for total in self._sizes]
-
-        return {}, None, _Device()
-
-
-class TestChildLaunchSizesConfig:
-    def test_probe_forwards_device_config(self):
-        spy = _ProbeSpy()
-        child_launch_sizes(spy, data=None, device_config=NON_DEFAULT)
-        assert spy.seen_configs == [NON_DEFAULT]
-
-    def test_probe_default_remains_none(self):
-        spy = _ProbeSpy()
-        child_launch_sizes(spy, data=None)
-        assert spy.seen_configs == [None]
-
-    def test_threshold_candidates_forwards_device_config(self):
-        spy = _ProbeSpy(sizes=(2048,))
-        candidates = threshold_candidates(spy, data=None,
-                                          device_config=NON_DEFAULT)
-        assert spy.seen_configs == [NON_DEFAULT]
-        assert candidates[-1] <= 2048
-
-    def test_predict_threshold_forwards_device_config(self):
-        spy = _ProbeSpy(sizes=(8, 8, 8, 1024))
-        predict_threshold(spy, data=None, device_config=NON_DEFAULT)
-        assert spy.seen_configs == [NON_DEFAULT]
-
-    def test_real_benchmark_accepts_non_default_config(self):
-        bench = get_benchmark("BFS")
-        data = bench.build_dataset("KRON", 0.05)
-        sizes = child_launch_sizes(bench, data, device_config=NON_DEFAULT)
-        assert sizes
-        assert all(size > 0 for size in sizes)
-        # The trace is a functional artifact: the same launches happen on
-        # any simulated device, so the probe's *sizes* must agree too.
-        assert sizes == child_launch_sizes(bench, data)
+    monkeypatch.setattr(Device, "finish", no_timing)
+    assert expected
+    assert child_launch_sizes(bench, data) == expected
 
 
 def _result(total_time):

@@ -143,6 +143,23 @@ class TestLaunchQueue:
         assert child_ready >= parent_start + 100 \
             + CFG.launch_service_interval + CFG.device_launch_latency
 
+    def test_launch_offset_clamped_to_block_lifetime(self):
+        # Engine offsets always fall inside the block, so only a hand-built
+        # trace reaches the clamp: a launch cannot leave after its block.
+        config = DeviceConfig(host_launch_latency=0)
+        trace = Trace()
+        parent = make_grid(trace, blocks=1, warp_cycles=100)
+        host_launch(trace, parent)
+        child = make_grid(trace, kernel="c")
+        device_launch(trace, parent, child, offset=10 ** 6)
+        trace.host_events.append(("sync",))
+        result = simulate(trace, config)
+        assert result.grid_timings[parent.gid].finish \
+            == config.block_latency(100)
+        assert result.grid_timings[child.gid].ready \
+            == config.block_latency(100) + config.launch_service_interval \
+            + config.device_launch_latency
+
     def test_child_can_start_before_parent_finishes(self):
         trace = Trace()
         parent = make_grid(trace, blocks=1, warp_cycles=100000)

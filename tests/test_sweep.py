@@ -5,6 +5,8 @@ executor-routed tuning."""
 import json
 import multiprocessing
 import os
+import sys
+import threading
 
 import pytest
 
@@ -99,12 +101,12 @@ class TestBackends:
             assert executor.run(small_grid()) == serial_results
 
     def test_chunked_submission_preserves_order(self, serial_results):
-        with SweepExecutor(jobs=2, backend="thread",
+        with SweepExecutor(jobs=2, backend="process",
                            chunk_size=2) as executor:
             assert executor.run(small_grid()) == serial_results
 
     def test_run_sweep_accepts_backend(self, serial_results):
-        results, stats = run_sweep(small_grid(), jobs=2, backend="thread")
+        results, stats = run_sweep(small_grid(), jobs=2, backend="process")
         assert results == serial_results
         assert stats.simulated == len(serial_results)
 
@@ -121,7 +123,7 @@ def _fail_cdp(point):
 
 class TestErrorAttribution:
     @pytest.mark.parametrize("backend", (
-        "serial", "thread",
+        "serial",
         # Pool workers only see the monkeypatched simulator via fork.
         pytest.param("process", marks=pytest.mark.skipif(
             "fork" not in multiprocessing.get_all_start_methods(),
@@ -184,15 +186,32 @@ class TestErrorAttribution:
 
     def test_dataset_memo_eviction_is_thread_safe(self, monkeypatch,
                                                   serial_results):
-        """Thread backend shares the dataset memo; a tiny memo limit
+        """``repro serve``'s miss workers are threads, each with its own
+        serial executor, sharing one dataset memo; a tiny memo limit
         forces constant concurrent eviction, which must never corrupt
         results or raise."""
         monkeypatch.setattr(sweep_mod, "_DATASET_MEMO_LIMIT", 1)
         monkeypatch.setattr(sweep_mod, "_DATASET_MEMO", {})
-        with SweepExecutor(jobs=4, backend="thread",
-                           chunk_size=1) as executor:
-            assert executor.run(small_grid() * 3) \
-                == serial_results * 3
+        outcomes = []
+
+        def miss_worker():
+            try:
+                outcomes.append(SweepExecutor().run(small_grid()))
+            except Exception as exc:        # reported by the assert below
+                outcomes.append(exc)
+
+        threads = [threading.Thread(target=miss_worker) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert outcomes == [serial_results] * 4
 
     def test_run_level_override(self, monkeypatch):
         monkeypatch.setattr(sweep_mod, "_simulate_point", _fail_cdp)
