@@ -104,7 +104,7 @@ class SPBenchmark(Benchmark):
         bias = device.upload(rng.random(nvars) - 0.5)
 
         for _ in range(self.iterations):
-            new_eta.array[:] = 0.0
+            new_eta.fill(0.0)
             device.launch("sp_kernel", blocks(nvars, 256), 256,
                           var_row, var_occ, occ_slot, eta, new_eta, bias,
                           nvars)

@@ -105,12 +105,12 @@ class SSSPBenchmark(Benchmark):
         out_n = device.alloc("int", 1)
 
         src = int(np.argmax(graph.degrees()))
-        dist.array[src] = 0
-        frontier_a.array[0] = src
+        dist[src] = 0
+        frontier_a[0] = src
         in_n, iteration = 1, 1
         in_f, out_f = frontier_a, frontier_b
         while in_n > 0:
-            out_n.array[0] = 0
+            out_n[0] = 0
             device.launch("sssp_kernel", blocks(in_n, 256), 256,
                           row, col, wts, dist, stamp, in_f, in_n, out_f,
                           out_n, iteration)

@@ -1,5 +1,7 @@
 """Arithmetic helpers with C semantics, used by generated code."""
 
+import math
+
 import numpy as np
 
 _FLOATS = (float, np.floating)
@@ -7,9 +9,18 @@ _FLOATS = (float, np.floating)
 
 def c_div(a, b):
     """C division: float division if either operand is float, else integer
-    division truncating toward zero (Python ``//`` floors)."""
+    division truncating toward zero (Python ``//`` floors).
+
+    A float division by zero gives the IEEE result, as on the GPU: NaN for
+    0/0 or a NaN dividend, else infinity signed by the dividend times the
+    zero. Integer division by zero raises ZeroDivisionError.
+    """
     if isinstance(a, _FLOATS) or isinstance(b, _FLOATS):
-        return a / b
+        if b:
+            return a / b
+        if a == 0 or math.isnan(a):
+            return math.nan
+        return math.copysign(math.inf, a) * math.copysign(1.0, b)
     quotient = a // b
     if quotient < 0 and quotient * b != a:
         quotient += 1
@@ -17,9 +28,13 @@ def c_div(a, b):
 
 
 def c_mod(a, b):
-    """C remainder: same sign as the dividend."""
+    """C remainder: same sign as the dividend. The float remainder is C's
+    ``fmod``, NaN for a zero divisor or an infinite dividend."""
     if isinstance(a, _FLOATS) or isinstance(b, _FLOATS):
-        return np.fmod(a, b)
+        try:
+            return math.fmod(a, b)
+        except ValueError:
+            return math.nan
     return a - c_div(a, b) * b
 
 

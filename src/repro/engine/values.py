@@ -39,42 +39,58 @@ class Dim3:
 
 
 class Ptr:
-    """A typed view into device memory: a numpy array plus an offset.
+    """A typed view into device memory: a Python list plus an offset.
+
+    Loads return plain Python ``int``/``float`` values (or the stored
+    object), never NumPy scalars, whose arithmetic is several times slower.
+    *dtype* is the element type: ``int64``, ``float64`` or ``object``.
+    Stores convert to it the way NumPy assignment (and C) would: a float
+    stored into int memory truncates toward zero, an int stored into float
+    memory becomes a float. Object memory holds pointer- or dim3-valued
+    elements (used by the aggregation buffers) and stores them as they are.
 
     Pointer arithmetic (``p + k``) produces a new view; indexing reads and
-    writes through the view. Object-dtype arrays hold pointer- or
-    dim3-valued elements (used by the aggregation buffers).
+    writes through the view.
     """
 
-    __slots__ = ("array", "offset")
+    __slots__ = ("array", "offset", "dtype", "convert")
 
-    def __init__(self, array, offset=0):
+    def __init__(self, array, dtype, offset=0):
         self.array = array
         self.offset = offset
+        self.dtype = np.dtype(dtype)
+        self.convert = _CONVERTERS.get(self.dtype)
 
     def __getitem__(self, index):
         return self.array[self.offset + index]
 
     def __setitem__(self, index, value):
+        if self.convert is not None:
+            value = self.convert(value)
         self.array[self.offset + index] = value
 
     def __add__(self, other):
-        return Ptr(self.array, self.offset + int(other))
+        return Ptr(self.array, self.dtype, self.offset + int(other))
 
     def __len__(self):
         return len(self.array) - self.offset
 
     def fill(self, value):
-        self.array[self.offset:] = value
+        if self.convert is not None:
+            value = self.convert(value)
+        self.array[self.offset:] = [value] * len(self)
 
     def to_numpy(self):
-        """A copy of the viewed region as a numpy array (host readback)."""
-        return np.array(self.array[self.offset:])
+        """A copy of the viewed region as a numpy array of this dtype (host
+        readback). An int past int64 raises OverflowError here."""
+        return np.fromiter(self.array[self.offset:], self.dtype, len(self))
 
     def __repr__(self):
         return "Ptr(dtype=%s, len=%d, off=%d)" % (
-            self.array.dtype, len(self.array), self.offset)
+            self.dtype, len(self.array), self.offset)
 
+
+_CONVERTERS = {np.dtype(np.int64): int, np.dtype(np.float64): float}
 
 _DTYPES = {
     "int": np.int64,
@@ -91,16 +107,17 @@ _DTYPES = {
 
 
 def alloc_for_type(element_type, count):
-    """Allocate device memory for *count* elements of a miniCUDA type.
+    """Allocate zeroed device memory for *count* elements of a miniCUDA type.
 
     *element_type* is the type of one element: pointer and ``dim3`` elements
-    get object arrays (they store Ptr / Dim3 values); scalars get numeric
-    numpy arrays.
+    get object memory (it stores Ptr / Dim3 values, initially None); integer
+    scalars get int64 memory and floating scalars float64 memory.
     """
     count = int(count)
     if element_type.pointers >= 1 or element_type.name == "dim3":
-        return Ptr(np.empty(count, dtype=object))
+        return Ptr([None] * count, object)
     name = element_type.name
     if name not in _DTYPES:
         raise RuntimeLaunchError("cannot allocate elements of type %r" % name)
-    return Ptr(np.zeros(count, dtype=_DTYPES[name]))
+    dtype = np.dtype(_DTYPES[name])
+    return Ptr([_CONVERTERS[dtype](0)] * count, dtype)

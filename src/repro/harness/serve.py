@@ -804,6 +804,10 @@ class _ServeHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/" + __version__
     protocol_version = "HTTP/1.1"
+    # A reply leaves as two writes (headers, then body). With Nagle's
+    # algorithm on, the body of a reply on a kept-alive connection waits
+    # for the client's delayed ACK, about 40 ms.
+    disable_nagle_algorithm = True
 
     def log_message(self, format, *args):       # noqa: A002 (stdlib name)
         service = self.server.service

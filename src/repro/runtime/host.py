@@ -50,16 +50,20 @@ class Device:
         """Allocate *count* elements of a scalar type name ('int', 'float')."""
         ptr = alloc_for_type(Type(type_name), count)
         if fill is not None:
-            ptr.array[:] = fill
+            ptr.fill(fill)
         self._allocs.append(ptr)
         return ptr
 
     def upload(self, array):
-        """Copy a numpy array into freshly allocated device memory."""
+        """Copy a numpy array into freshly allocated device memory.
+
+        Floating arrays become float64 memory and all others int64 memory,
+        as Python floats and ints (bool and narrow types widen).
+        """
         array = np.asarray(array)
         kind = "float" if array.dtype.kind == "f" else "int"
         ptr = self.alloc(kind, len(array))
-        ptr.array[:] = array
+        ptr.array[:] = array.astype(ptr.dtype).tolist()
         return ptr
 
     # -- launches ------------------------------------------------------------

@@ -1,9 +1,18 @@
 """Shared fixtures: canonical kernel sources, small datasets, and the
-in-process remote worker fleet."""
+in-process remote worker fleet; the hypothesis profiles."""
 
 import contextlib
 
 import pytest
+from hypothesis import settings
+
+# Tier-1 draws the same examples on every run, so a red run reproduces.
+# CI also runs the property tests under ``--hypothesis-profile=explore``,
+# which draws new random examples each time. Neither keeps an example
+# database.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("explore", database=None)
+settings.load_profile("tier1")
 
 #: The paper's Fig. 3(a) shape: a parent dynamically launching a child.
 BFS_LIKE_SRC = """

@@ -6,6 +6,7 @@ import pytest
 from repro.engine import Dim3, Module, alloc_for_type, run_grid
 from repro.errors import CodegenError, RuntimeLaunchError
 from repro.minicuda.ast import Type
+from repro.runtime import Device
 from repro.sim import CostModel, Trace
 
 
@@ -18,9 +19,7 @@ def run(source, kernel, grid, block, *args, module=None):
 
 
 def int_array(values):
-    p = alloc_for_type(Type("int"), len(values))
-    p.array[:] = values
-    return p
+    return Device(None).upload(np.array(values))
 
 
 class TestBasicSemantics:
@@ -234,7 +233,7 @@ class TestBarriers:
         """
         out = alloc_for_type(Type("int"), 8)
         run(src, "k", 1, 8, out, 4)
-        assert out.array.sum() == 4
+        assert out.to_numpy().sum() == 4
 
     def test_barrier_in_device_function_rejected(self):
         src = """

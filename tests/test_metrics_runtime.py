@@ -34,14 +34,14 @@ class TestDeviceMemory:
 
     def test_upload_int(self):
         dev = self._device()
-        p = dev.upload(np.array([1, 2, 3]))
-        assert p.array.dtype == np.int64
-        assert list(p.array) == [1, 2, 3]
+        host = dev.upload(np.array([1, 2, 3])).to_numpy()
+        assert host.dtype == np.int64
+        assert list(host) == [1, 2, 3]
 
     def test_upload_float(self):
         dev = self._device()
-        p = dev.upload(np.array([0.5, 1.5]))
-        assert p.array.dtype == np.float64
+        host = dev.upload(np.array([0.5, 1.5])).to_numpy()
+        assert host.dtype == np.float64
 
     def test_wrong_arg_count_rejected(self):
         dev = self._device()

@@ -54,7 +54,7 @@ def run_config(graph, config):
     col = dev.upload(graph.col)
     dist = dev.alloc("int", graph.num_vertices, fill=-1)
     out_n = dev.alloc("int", 1)
-    dist.array[0] = 0
+    dist[0] = 0
     dev.launch("parent", blocks(graph.num_vertices, 64), 64,
                row, col, dist, out_n, graph.num_vertices, 1)
     dev.sync()
@@ -120,7 +120,7 @@ def test_pass_order_independence(graph, order):
     col = dev.upload(graph.col)
     dist = dev.alloc("int", graph.num_vertices, fill=-1)
     out_n = dev.alloc("int", 1)
-    dist.array[0] = 0
+    dist[0] = 0
     dev.launch("parent", blocks(graph.num_vertices, 64), 64,
                row, col, dist, out_n, graph.num_vertices, 1)
     dev.sync()

@@ -12,8 +12,10 @@ contract, and concurrent readers never observe torn cache entries or
 leak ``.tmp`` files.
 """
 
+import http.client
 import json
 import re
+import statistics
 import threading
 import time
 import urllib.error
@@ -130,6 +132,25 @@ class TestPoint:
         assert warm["cache"] == "hit"
         assert warm["result"] == cold["result"]
         assert warm["key"] == cold["key"]
+
+    def test_warm_hits_on_one_connection_do_not_stall(self, server):
+        # A reply leaves as two writes. With Nagle's algorithm on, the
+        # body on a reused connection waits ~40 ms for the client's
+        # delayed ACK, a timer that does not scale with CPU speed.
+        assert fetch(server, POINT)[1]["cache"] == "miss"
+        conn = http.client.HTTPConnection(*server.address, timeout=60)
+        seconds = []
+        try:
+            for _ in range(10):
+                start = time.perf_counter()
+                conn.request("GET", POINT)
+                reply = conn.getresponse()
+                payload = json.loads(reply.read())
+                seconds.append(time.perf_counter() - start)
+                assert reply.status == 200 and payload["cache"] == "hit"
+        finally:
+            conn.close()
+        assert statistics.median(seconds) < 0.020, seconds
 
     def test_unencoded_plus_label_normalized(self, server):
         assert fetch(server, POINT)[1]["cache"] == "miss"

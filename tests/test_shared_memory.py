@@ -38,15 +38,11 @@ __global__ void reduce(float *data, float *out, int n) {
 
 
 def run_reduce(n=200, blocks_=4):
-    module = Module(REDUCE_SRC)
-    data = alloc_for_type(Type("float"), n)
-    rng = np.random.default_rng(3)
-    data.array[:] = rng.random(n)
-    out = alloc_for_type(Type("float"), blocks_)
-    trace = Trace()
-    run_grid(module, trace, "reduce", Dim3(blocks_), Dim3(64),
-             (data, out, n))
-    return data.array, out.array
+    dev = Device(Module(REDUCE_SRC))
+    data = dev.upload(np.random.default_rng(3).random(n))
+    out = dev.alloc("float", blocks_)
+    dev.launch("reduce", blocks_, 64, data, out, n)
+    return data.to_numpy(), out.to_numpy()
 
 
 class TestSharedReduction:
