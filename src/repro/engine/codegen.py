@@ -1,7 +1,8 @@
 """AST → Python transpiler.
 
-Every miniCUDA function becomes a Python function executed once per simulated
-thread. The generated code
+Every miniCUDA function becomes a Python function: a barrier-free kernel
+of a 1-D program runs a whole thread block per call, every other function
+one simulated thread. The generated code
 
 * accumulates a per-thread cycle count ``_c`` using the
   :class:`~repro.sim.costmodel.CostModel` weights (constants are folded at
@@ -17,17 +18,29 @@ thread. The generated code
 
 Calling conventions:
 
-* kernel: ``k_<name>(_rt, _bix, _tix, _gdim, _bdim, *params) -> cycles``
-  (generators return cycles via ``StopIteration.value``);
+* barrier-free kernel of a 1-D program (one that never reads the y/z
+  thread or block indices): ``b_<name>(_rt, _bix, _tixs, _gdim, _bdim,
+  *params) -> (max_warp, sum_warp, total)`` runs the threads ``_tixs`` of
+  block ``_bix`` in order, 32 to a warp, and returns the block's warp costs
+  and thread-cycle total. A ``return`` ends only the current thread, and a
+  parameter the kernel rebinds is copied for each thread. Each
+  pointer parameter the kernel indexes and never rebinds is hoisted once
+  per block into its list ``a_<p>`` and offset ``o_<p>`` (plus the store
+  conversion ``s_<p>`` of :class:`~repro.engine.values.Ptr` if the kernel
+  stores through it), so its loads and stores skip the Ptr;
+* any other kernel: ``k_<name>(_rt, _bix, _tix, _gdim, _bdim, *params) ->
+  cycles`` per thread (generators return cycles via
+  ``StopIteration.value``); a 3-D program's functions take ``_bix, _biy,
+  _biz, _tix, _tiy, _tiz`` in place of ``_bix, _tix``;
 * device function: ``f_<name>(_rt, _bix, _tix, _gdim, _bdim, *params)
   -> value`` with its cycles added to ``_rt.tc`` (the per-thread spill
-  counter reset by the executor), so device calls compose in expressions.
+  counter reset before each thread of a kernel that calls one), so device
+  calls compose in expressions.
 """
 
 from ..errors import CodegenError
 from ..minicuda import ast
 from ..minicuda.ast import region_of
-from ..minicuda.visitor import find_all
 from ..sim.costmodel import CostModel, call_cost
 
 _BARRIER_CALLS = ("__syncthreads",)
@@ -68,8 +81,79 @@ _RESERVED_MEMBERS = {
 }
 
 
+#: Block-function locals that stand in for block-invariant reads.
+_BLOCK_LOCALS = {"_bdim.x": "_bdx", "_gdim.x": "_gdx"}
+
+
 def _mangle(name):
     return "v_" + name
+
+
+class _Facts:
+    """What code generation needs to know about one function, found in one
+    walk of its AST."""
+
+    def __init__(self, func, function_names):
+        self.decls = []           # every VarDecl, in source order
+        self.arrays = set()       # names declared as arrays (T buf[n])
+        self.has_barrier = False
+        self.has_launch = False
+        self.calls_device = False
+        self.indexed = set()      # names used as p[i], *p or atomic target
+        self.stored = set()       # names stored through, atomics included
+        self.rebound = set()      # names assigned, ++/--'d, &'d or declared
+        for node in func.walk():
+            kind = type(node)
+            if kind is ast.Index:
+                if type(node.base) is ast.Ident:
+                    self.indexed.add(node.base.name)
+            elif kind is ast.Unary:
+                operand = node.operand
+                if node.op in ("++", "--"):
+                    self._write(operand)
+                elif type(operand) is ast.Ident:
+                    if node.op == "*":
+                        self.indexed.add(operand.name)
+                    elif node.op == "&":
+                        self.rebound.add(operand.name)
+            elif kind is ast.Assign:
+                self._write(node.target)
+            elif kind is ast.Call and type(node.func) is ast.Ident:
+                name = node.func.name
+                if name in _BARRIER_CALLS:
+                    self.has_barrier = True
+                elif name in function_names:
+                    self.calls_device = True
+                elif name in _ATOMIC_METHODS and node.args:
+                    self._atomic_target(node.args[0])
+            elif kind is ast.VarDecl:
+                self.decls.append(node)
+                self.rebound.add(node.name)
+                if node.array_size is not None:
+                    self.arrays.add(node.name)
+            elif kind is ast.Launch:
+                self.has_launch = True
+
+    def _write(self, target):
+        """*target* is assigned to or incremented."""
+        if type(target) is ast.Ident:
+            self.rebound.add(target.name)
+        elif type(target) is ast.Index and type(target.base) is ast.Ident:
+            self.stored.add(target.base.name)
+        elif (type(target) is ast.Unary and target.op == "*"
+              and type(target.operand) is ast.Ident):
+            self.stored.add(target.operand.name)
+
+    def _atomic_target(self, arg):
+        """An atomic reads and writes ``*arg``, or ``p[i]`` for ``&p[i]``."""
+        if type(arg) is ast.Unary and arg.op == "&":
+            arg = arg.operand
+            if type(arg) is not ast.Index:
+                return
+            arg = arg.base
+        if type(arg) is ast.Ident:
+            self.indexed.add(arg.name)
+            self.stored.add(arg.name)
 
 
 class FunctionCodegen:
@@ -81,17 +165,27 @@ class FunctionCodegen:
         self.cm = cost_model
         self.macros = macros
         self.lines = []
+        self.facts = facts = _Facts(func, program_info.functions)
         self.types = {p.name: p.type for p in func.params}
-        for decl_stmt in find_all(func, ast.DeclStmt):
-            for decl in decl_stmt.decls:
-                self.types[decl.name] = decl.type
-        self.has_barrier = any(
-            isinstance(c.func, ast.Ident) and c.func.name in _BARRIER_CALLS
-            for c in find_all(func, ast.Call))
+        for decl in facts.decls:
+            self.types[decl.name] = decl.type
+        self.has_barrier = facts.has_barrier
         if self.has_barrier and func.is_device:
             raise CodegenError(
                 "device function %r uses __syncthreads(); barriers are only "
                 "supported directly inside kernels" % func.name)
+        # Barrier kernels rotate per-thread generators, and 3-D programs
+        # take six index components; every other kernel runs a block per
+        # call (the b_<name> convention).
+        self.fused = (func.is_kernel and not self.has_barrier
+                      and not program_info.multi_dim)
+        self.hoisted = {
+            p.name for p in func.params
+            if self.fused and p.type.pointers > 0 and p.name in facts.indexed
+            and p.name not in facts.rebound}
+        self._loops = []              # per open loop: did a return break it
+        self._returns_in_loop = False
+        self._block_locals = set()
 
     # -- entry point --------------------------------------------------------
 
@@ -109,20 +203,18 @@ class FunctionCodegen:
 
     def generate(self):
         func = self.func
-        prefix = "k_" if func.is_kernel else "f_"
-        params = ", ".join(_mangle(p.name) for p in func.params)
-        header = "def %s%s(_rt, %s%s):" % (
-            prefix, func.name, self._ctx_args,
-            (", " + params) if params else "")
-        self._emit(0, header)
         # Sec. VIII-D: the mere presence of a dynamic launch in a kernel
         # makes the compiler emit (and the hardware execute) a large number
         # of extra instructions even when the launch never happens.
-        contains_launch = bool(find_all(func, ast.Launch))
-        if contains_launch and func.is_kernel:
-            self._emit(1, "_c = %d" % self.cm.cdp_code_tax)
-        else:
-            self._emit(1, "_c = 0")
+        start = "_c = %d" % (self.cm.cdp_code_tax if self.facts.has_launch
+                             and func.is_kernel else 0)
+        if self.fused:
+            return self._generate_block_function(start)
+        params = "".join(", " + _mangle(p.name) for p in func.params)
+        prefix = "k_" if func.is_kernel else "f_"
+        self._emit(0, "def %s%s(_rt, %s%s):" % (
+            prefix, func.name, self._ctx_args, params))
+        self._emit(1, start)
         self._gen_compound(func.body, 1)
         if func.is_kernel:
             self._emit(1, "return _c")
@@ -130,6 +222,57 @@ class FunctionCodegen:
             self._emit(1, "_rt.tc += _c")
             self._emit(1, "return None")
         return "\n".join(self.lines)
+
+    def _generate_block_function(self, start):
+        """``b_<name>``: every thread of one block, warp costs inline."""
+        self._emit(3, start)
+        self._gen_compound(self.func.body, 3)
+        self._end_thread(3)
+        thread_body, self.lines = self.lines, []
+        # The parameters are shared by the block's threads, so one the
+        # kernel rebinds arrives as p_<name> and is copied for each thread.
+        rebound = [p.name for p in self.func.params
+                   if p.name in self.facts.rebound]
+        params = "".join(
+            ", " + ("p_" if p.name in rebound else "v_") + p.name
+            for p in self.func.params)
+        self._emit(0, "def b_%s(_rt, _bix, _tixs, _gdim, _bdim%s):" % (
+            self.func.name, params))
+        for param in self.func.params:
+            if param.name in self.hoisted:
+                name, var = param.name, _mangle(param.name)
+                self._emit(1, "a_%s = %s.array" % (name, var))
+                self._emit(1, "o_%s = %s.offset" % (name, var))
+                if name in self.facts.stored:
+                    self._emit(1, "s_%s = %s.convert or _identity"
+                               % (name, var))
+        for read, local in _BLOCK_LOCALS.items():
+            if local in self._block_locals:
+                self._emit(1, "%s = %s" % (local, read))
+        self._emit(1, "_mw = _sw = _tot = 0")
+        self._emit(1, "for _w in range(0, len(_tixs), 32):")
+        self._emit(2, "_pk = 0")
+        self._emit(2, "for _tix in _tixs[_w:_w + 32]:")
+        if self.facts.calls_device:
+            self._emit(3, "_rt.tc = 0")
+        if self._returns_in_loop:
+            self._emit(3, "_ret = False")
+        for name in rebound:
+            self._emit(3, "v_%s = p_%s" % (name, name))
+        self.lines.extend(thread_body)
+        self._emit(2, "_sw += _pk")
+        self._emit(2, "if _pk > _mw:")
+        self._emit(3, "_mw = _pk")
+        self._emit(1, "return _mw, _sw, _tot")
+        return "\n".join(self.lines)
+
+    def _end_thread(self, indent):
+        """Add the finished thread's cycles to its warp and block."""
+        if self.facts.calls_device:
+            self._emit(indent, "_c += _rt.tc")
+        self._emit(indent, "_tot += _c")
+        self._emit(indent, "if _c > _pk:")
+        self._emit(indent + 1, "_pk = _c")
 
     def _emit(self, indent, text):
         self.lines.append("    " * indent + text)
@@ -248,10 +391,12 @@ class FunctionCodegen:
             self._gen_while(stmt.cond, stmt.body, indent, region)
         elif isinstance(stmt, ast.DoWhile):
             self._emit(indent, "while True:")
+            self._loops.append(False)
             self._gen_nested(stmt.body, indent + 1)
             self._emit_cost(indent + 1, self._weight(stmt.cond), region)
             self._emit(indent + 1, "if not (%s):" % self._cond(stmt.cond))
             self._emit(indent + 2, "break")
+            self._close_loop(indent)
         elif isinstance(stmt, ast.For):
             if stmt.init is not None:
                 self._gen_stmt(stmt.init, indent)
@@ -261,7 +406,15 @@ class FunctionCodegen:
             if self.func.is_kernel:
                 if stmt.value is not None:
                     raise CodegenError("kernel returning a value")
-                self._emit(indent, "return _c")
+                if not self.fused:
+                    self._emit(indent, "return _c")
+                elif self._loops:
+                    self._loops[-1] = True
+                    self._emit(indent, "_ret = True")
+                    self._emit(indent, "break")
+                else:
+                    self._end_thread(indent)
+                    self._emit(indent, "continue")
             else:
                 self._emit(indent, "_rt.tc += _c")
                 value = ("None" if stmt.value is None
@@ -287,10 +440,26 @@ class FunctionCodegen:
             self._emit_cost(indent + 1, self._weight(cond), region)
             self._emit(indent + 1, "if not (%s):" % self._cond(cond))
             self._emit(indent + 2, "break")
+        self._loops.append(False)
         self._gen_nested(body, indent + 1)
         if step is not None:
             self._emit_cost(indent + 1, self._weight(step), region)
             self._gen_expr_effect(step, indent + 1)
+        self._close_loop(indent)
+
+    def _close_loop(self, indent):
+        """After a loop of a block function that a ``return`` broke out of:
+        break out of the enclosing loop too, or end the thread."""
+        if not self._loops.pop():
+            return
+        self._returns_in_loop = True
+        self._emit(indent, "if _ret:")
+        if self._loops:
+            self._loops[-1] = True
+            self._emit(indent + 1, "break")
+        else:
+            self._end_thread(indent + 1)
+            self._emit(indent + 1, "continue")
 
     def _gen_barrier(self, indent, region):
         if not self.has_barrier:
@@ -346,7 +515,12 @@ class FunctionCodegen:
             self._gen_assign(expr, indent)
         elif isinstance(expr, ast.Unary) and expr.op in ("++", "--"):
             op = "+=" if expr.op == "++" else "-="
-            self._emit(indent, "%s %s 1" % (self._lvalue(expr.operand), op))
+            slot = self._hoisted_slot(expr.operand)
+            if slot is not None:
+                self._gen_hoisted_store(slot, op, "1", indent)
+            else:
+                self._emit(indent, "%s %s 1" % (
+                    self._lvalue(expr.operand), op))
         elif isinstance(expr, ast.Call):
             if (isinstance(expr.func, ast.Ident)
                     and expr.func.name == "cudaMalloc"):
@@ -365,13 +539,53 @@ class FunctionCodegen:
         target = assign.target
         value = self._expr(assign.value)
         op = assign.op
-        if op == "=":
+        slot = self._hoisted_slot(target)
+        if slot is not None:
+            self._gen_hoisted_store(slot, op, value, indent)
+        elif op == "=":
             if (isinstance(target, ast.Ident)
                     and self._type_name(target.name) == "dim3"):
                 value = "_D3.of(%s)" % value
             self._emit(indent, "%s = %s" % (self._lvalue(target), value))
         else:
             self._emit(indent, "%s %s %s" % (self._lvalue(target), op, value))
+
+    def _gen_hoisted_store(self, slot, op, value, indent):
+        """Store through a hoisted pointer parameter, converting to its
+        element type as ``Ptr.__setitem__`` does. A compound store reads
+        and writes through ``_ix``, so the index is evaluated once."""
+        name, index = slot
+        if op == "=":
+            self._emit(indent, "a_%s[%s] = s_%s(%s)" % (
+                name, self._slot(name, index), name, value))
+            return
+        self._emit(indent, "_ix = %s" % self._slot(name, index))
+        self._emit(indent, "a_%s[_ix] = s_%s(a_%s[_ix] %s (%s))" % (
+            name, name, name, op[:-1], value))
+
+    def _hoisted_slot(self, target):
+        """``(parameter, index code)`` when *target* is ``p[i]`` or ``*p``
+        of a hoisted pointer parameter, else None."""
+        if isinstance(target, ast.Index):
+            name = self._hoisted(target.base)
+            if name is not None:
+                return name, self._expr(target.index)
+        elif isinstance(target, ast.Unary) and target.op == "*":
+            name = self._hoisted(target.operand)
+            if name is not None:
+                return name, "0"
+        return None
+
+    def _hoisted(self, pointer):
+        """The name of *pointer* if it is a hoisted parameter, else None."""
+        if isinstance(pointer, ast.Ident) and pointer.name in self.hoisted:
+            return pointer.name
+        return None
+
+    @staticmethod
+    def _slot(name, index):
+        """The list index of element *index* of hoisted parameter *name*."""
+        return "o_%s" % name if index == "0" else "o_%s + %s" % (name, index)
 
     def _type_name(self, var_name):
         var_type = self.types.get(var_name)
@@ -401,6 +615,13 @@ class FunctionCodegen:
     # -- expressions ---------------------------------------------------------
 
     def _cond(self, expr):
+        """*expr* where only its truth is read (``if``, loop tests, ``?:``
+        tests, ``!``): ``&&`` and ``||`` may stay Python's ``and``/``or``,
+        which return an operand."""
+        if isinstance(expr, ast.Binary) and expr.op in ("&&", "||"):
+            return "((%s) %s (%s))" % (
+                self._cond(expr.lhs), "and" if expr.op == "&&" else "or",
+                self._cond(expr.rhs))
         return self._expr(expr)
 
     def _expr(self, expr):
@@ -417,7 +638,11 @@ class FunctionCodegen:
         if isinstance(expr, ast.Member):
             return self._member(expr)
         if isinstance(expr, ast.Index):
-            return "%s[%s]" % (self._expr(expr.base), self._expr(expr.index))
+            index = self._expr(expr.index)
+            name = self._hoisted(expr.base)
+            if name is not None:
+                return "a_%s[%s]" % (name, self._slot(name, index))
+            return "%s[%s]" % (self._expr(expr.base), index)
         if isinstance(expr, ast.Binary):
             return self._binary(expr)
         if isinstance(expr, ast.Unary):
@@ -461,20 +686,22 @@ class FunctionCodegen:
                 if not self.info.multi_dim and replacement in (
                         "_tiy", "_tiz", "_biy", "_biz"):
                     return "0"
+                if self.fused and replacement in _BLOCK_LOCALS:
+                    replacement = _BLOCK_LOCALS[replacement]
+                    self._block_locals.add(replacement)
                 return replacement
         return "%s.%s" % (self._expr(expr.obj), expr.attr)
 
     def _binary(self, expr):
-        lhs, rhs = self._expr(expr.lhs), self._expr(expr.rhs)
         op = expr.op
+        if op in ("&&", "||"):
+            # C's value of a logical operator is 0 or 1.
+            return "(1 if %s else 0)" % self._cond(expr)
+        lhs, rhs = self._expr(expr.lhs), self._expr(expr.rhs)
         if op == "/":
             return "_div(%s, %s)" % (lhs, rhs)
         if op == "%":
             return "_mod(%s, %s)" % (lhs, rhs)
-        if op == "&&":
-            return "((%s) and (%s))" % (lhs, rhs)
-        if op == "||":
-            return "((%s) or (%s))" % (lhs, rhs)
         if op in _CMP_OPS or op in _ARITH_OPS:
             return "(%s %s %s)" % (lhs, op, rhs)
         raise CodegenError("unknown binary operator %r" % op)
@@ -483,13 +710,17 @@ class FunctionCodegen:
         if expr.op in ("++", "--"):
             raise CodegenError(
                 "++/-- only supported as statements or loop steps")
+        if expr.op == "!":
+            return "(not (%s))" % self._cond(expr.operand)
+        if expr.op == "*":
+            name = self._hoisted(expr.operand)
+            if name is not None:
+                return "a_%s[o_%s]" % (name, name)
         operand = self._expr(expr.operand)
         if expr.op == "-":
             return "(-%s)" % operand
         if expr.op == "+":
             return "(+%s)" % operand
-        if expr.op == "!":
-            return "(not (%s))" % operand
         if expr.op == "~":
             return "(~int(%s))" % operand
         if expr.op == "*":
@@ -541,24 +772,40 @@ class FunctionCodegen:
             "call to unknown function %r in %r" % (name, self.func.name))
 
     def _pointer_ref(self, arg):
-        """Resolve an atomic's pointer argument to ('array expr', 'index')."""
+        """Resolve an atomic's pointer argument to (pointer, 'index'): the
+        pointer's AST node, or the code of a global scalar's cell."""
         if isinstance(arg, ast.Unary) and arg.op == "&":
             inner = arg.operand
             if isinstance(inner, ast.Index):
-                return self._expr(inner.base), self._expr(inner.index)
+                return inner.base, self._expr(inner.index)
             if isinstance(inner, ast.Ident):
                 if inner.name in self.info.global_scalars:
                     return "g_%s" % inner.name, "0"
                 raise CodegenError(
                     "atomic on non-global scalar %r" % inner.name)
             raise CodegenError("unsupported address-of operand in atomic")
-        return self._expr(arg), "0"
+        return arg, "0"
 
     def _atomic(self, name, args):
-        base, index = self._pointer_ref(args[0])
+        """``_rt.atomic_*(ptr, index, ...)``; on a hoisted pointer
+        parameter, the list-level ``_atomic_*(a_p, slot, s_p, ...)``; on a
+        declared ``__shared__`` or local array, which is a plain list whose
+        stores keep their values, ``_atomic_*(v_buf, index, _identity,
+        ...)``."""
+        pointer, index = self._pointer_ref(args[0])
         rest = "".join(", " + self._expr(a) for a in args[1:])
-        return "_rt.%s(%s, %s%s)" % (
-            _ATOMIC_METHODS[name], base, index, rest)
+        method = _ATOMIC_METHODS[name]
+        hoisted = self._hoisted(pointer)
+        if hoisted is not None:
+            return "_%s(a_%s, %s, s_%s%s)" % (
+                method, hoisted, self._slot(hoisted, index), hoisted, rest)
+        if (isinstance(pointer, ast.Ident)
+                and pointer.name in self.facts.arrays):
+            return "_%s(%s, %s, _identity%s)" % (
+                method, _mangle(pointer.name), index, rest)
+        if not isinstance(pointer, str):
+            pointer = self._expr(pointer)
+        return "_rt.%s(%s, %s%s)" % (method, pointer, index, rest)
 
     def _cuda_malloc_stmt(self, args, indent):
         """``cudaMalloc(&p, bytes)`` → device-heap allocation into local p.
@@ -608,7 +855,8 @@ def generate_module_source(program, macros=None, cost_model=None):
     """Python module source implementing every function of *program*.
 
     Returns (source, kernel_info) where kernel_info maps kernel name to a
-    dict with 'has_barrier' and 'params' (list of (name, Type)).
+    dict with 'has_barrier', 'multi_dim' and 'params' (list of (name,
+    Type)).
     """
     macros = macros or {}
     cost_model = cost_model or CostModel()
@@ -617,7 +865,9 @@ def generate_module_source(program, macros=None, cost_model=None):
         "import math as _m",
         "from repro.engine.values import Dim3 as _D3, Ptr as _Ptr",
         "from repro.engine.builtins import (c_div as _div, c_mod as _mod,"
-        " local_array as _local_array)",
+        " local_array as _local_array, identity as _identity, %s)"
+        % ", ".join("%s as _%s" % (method, method)
+                    for method in _ATOMIC_METHODS.values()),
         "",
     ]
     kernel_info = {}

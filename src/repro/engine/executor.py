@@ -2,11 +2,16 @@
 
 Grids run on real data: threads execute sequentially (block by block), so
 atomics need no locking and the paired-counter update of Fig. 7 is trivially
-consistent. Kernels containing ``__syncthreads()`` are compiled to
-generators; :func:`_run_block_barrier` rotates all threads of a block between
-barriers and re-synchronizes their cycle counters to the slowest arrival —
-threads that already returned simply stop participating (this makes the
-``if (threadIdx.x < _bDim)`` disaggregation guard safe).
+consistent. A barrier-free kernel of a 1-D program is compiled to a block
+function (``b_<name>``, see :mod:`repro.engine.codegen`) that runs every
+thread of one block and returns the block's warp costs, so the executor
+makes one call per block. Kernels containing ``__syncthreads()`` are
+compiled to per-thread generators; :func:`_run_block_barrier` rotates all
+threads of a block between barriers and re-synchronizes their cycle
+counters to the slowest arrival — threads that already returned simply
+stop participating (this makes the ``if (threadIdx.x < _bDim)``
+disaggregation guard safe). Kernels of programs that read the y/z indices
+run one call per thread in :func:`_run_grid_nd`.
 
 Dynamic launches are queued and executed breadth-first after the launching
 grid completes — CUDA guarantees children see their parent's prior writes,
@@ -14,9 +19,13 @@ and no benchmark relies on stronger parent/child memory interleaving.
 """
 
 from collections import deque
+from functools import partial
 
 from ..errors import RuntimeLaunchError, SimulationError
 from ..sim.trace import DEVICE, BlockCost, LaunchRecord
+from .builtins import (atomic_add, atomic_and, atomic_cas, atomic_exch,
+                       atomic_max, atomic_min, atomic_or, atomic_sub,
+                       identity)
 from .values import Dim3, alloc_for_type
 from ..minicuda.ast import Type
 
@@ -25,7 +34,8 @@ class ExecContext:
     """The ``_rt`` object generated kernel code talks to.
 
     One instance exists per *grid execution*; per-thread state (``tc``) is
-    reset by the block loops.
+    reset before each thread, by a block function or the executor's
+    per-thread loops.
     """
 
     __slots__ = ("module", "trace", "cost_model", "grid_record",
@@ -70,50 +80,59 @@ class ExecContext:
              cycles + self.tc))
         return cycles + issue
 
-    # -- atomics (threads run sequentially; plain RMW is exact) ------------
+    # -- atomics: engine.builtins' read-modify-writes ----------------------
+    #
+    # *ptr* is a Ptr, or a __shared__ or local array (a plain list, whose
+    # stores keep their values) passed on through a pointer variable.
 
     def atomic_add(self, ptr, index, value):
-        old = ptr[index]
-        ptr[index] = old + value
-        return old
+        if type(ptr) is list:
+            return atomic_add(ptr, index, identity, value)
+        return atomic_add(
+            ptr.array, ptr.offset + index, ptr.convert or identity, value)
 
     def atomic_sub(self, ptr, index, value):
-        old = ptr[index]
-        ptr[index] = old - value
-        return old
+        if type(ptr) is list:
+            return atomic_sub(ptr, index, identity, value)
+        return atomic_sub(
+            ptr.array, ptr.offset + index, ptr.convert or identity, value)
 
     def atomic_max(self, ptr, index, value):
-        old = ptr[index]
-        if value > old:
-            ptr[index] = value
-        return old
+        if type(ptr) is list:
+            return atomic_max(ptr, index, identity, value)
+        return atomic_max(
+            ptr.array, ptr.offset + index, ptr.convert or identity, value)
 
     def atomic_min(self, ptr, index, value):
-        old = ptr[index]
-        if value < old:
-            ptr[index] = value
-        return old
+        if type(ptr) is list:
+            return atomic_min(ptr, index, identity, value)
+        return atomic_min(
+            ptr.array, ptr.offset + index, ptr.convert or identity, value)
 
     def atomic_cas(self, ptr, index, compare, value):
-        old = ptr[index]
-        if old == compare:
-            ptr[index] = value
-        return old
+        if type(ptr) is list:
+            return atomic_cas(ptr, index, identity, compare, value)
+        return atomic_cas(
+            ptr.array, ptr.offset + index, ptr.convert or identity,
+            compare, value)
 
     def atomic_exch(self, ptr, index, value):
-        old = ptr[index]
-        ptr[index] = value
-        return old
+        if type(ptr) is list:
+            return atomic_exch(ptr, index, identity, value)
+        return atomic_exch(
+            ptr.array, ptr.offset + index, ptr.convert or identity, value)
 
     def atomic_or(self, ptr, index, value):
-        old = ptr[index]
-        ptr[index] = old | int(value)
-        return old
+        if type(ptr) is list:
+            return atomic_or(ptr, index, identity, value)
+        return atomic_or(
+            ptr.array, ptr.offset + index, ptr.convert or identity, value)
 
     def atomic_and(self, ptr, index, value):
-        old = ptr[index]
-        ptr[index] = old & int(value)
-        return old
+        if type(ptr) is list:
+            return atomic_and(ptr, index, identity, value)
+        return atomic_and(
+            ptr.array, ptr.offset + index, ptr.convert or identity, value)
 
     # -- misc ----------------------------------------------------------------
 
@@ -134,8 +153,9 @@ def run_grid(module, trace, kernel_name, grid_dim, block_dim, args,
     children. Returns the grid's :class:`~repro.sim.trace.GridRecord`."""
     cost_model = cost_model or module.cost_model
     queue = deque()
-    root = _execute_single(module, trace, kernel_name, grid_dim, block_dim,
-                           args, launch_record, cost_model, queue)
+    root = _execute_single(module, trace, kernel_name, Dim3.of(grid_dim),
+                           Dim3.of(block_dim), args, launch_record,
+                           cost_model, queue)
     while queue:
         (kernel, gdim, bdim, kargs, parent_rec, parent_block, offset) = \
             queue.popleft()
@@ -151,9 +171,10 @@ def run_grid(module, trace, kernel_name, grid_dim, block_dim, args,
 
 def _execute_single(module, trace, kernel_name, grid_dim, block_dim, args,
                     launch_record, cost_model, queue):
+    """Run one grid. *grid_dim* and *block_dim* are Dim3s that no one else
+    holds: ``run_grid`` copies the caller's, and a launch site builds fresh
+    ones for each child."""
     kernel = module.kernel(kernel_name)
-    grid_dim = Dim3.of(grid_dim)
-    block_dim = Dim3.of(block_dim)
     if grid_dim.total <= 0 or block_dim.total <= 0:
         raise RuntimeLaunchError(
             "launch of %r with empty configuration (%r, %r)"
@@ -167,11 +188,14 @@ def _execute_single(module, trace, kernel_name, grid_dim, block_dim, args,
                and block_dim.total == block_dim.x
                and not kernel.multi_dim)
     if one_dim:
-        run_block = _run_block_barrier if kernel.has_barrier else _run_block
+        run_block = kernel.fn
+        if not kernel.fused:
+            run_block = partial(_run_block_barrier, run_block)
+        threads = range(block_dim.x)
         for bix in range(grid_dim.x):
             rt.begin_block(bix)
             max_warp, sum_warp, total = run_block(
-                kernel.fn, rt, bix, grid_dim, block_dim, args)
+                rt, bix, threads, grid_dim, block_dim, *args)
             record.blocks.append(BlockCost(max_warp, sum_warp))
             record.total_cycles += total
     else:
@@ -207,14 +231,25 @@ def _thread_coords(bdim):
 
 
 def _run_grid_nd(kernel, rt, gdim, bdim, args, record):
-    """General multi-dimensional grid execution (barrier and non-barrier).
+    """General multi-dimensional grid execution.
 
     Kernels compiled with the 3-D calling convention receive all six index
     components; 1-D-convention kernels launched with a multi-dimensional
     configuration still execute every (y, z) copy but only see the x
     components — matching hardware, where unused indices simply go unread.
+    A block function gets the block's x indices in linear thread order, so
+    its warps form over the linearized block.
     """
     fn = kernel.fn
+    if kernel.fused:
+        threads = [tx for tx, _, _ in _thread_coords(bdim)]
+        for linear, bx, _, _ in _block_coords(gdim):
+            rt.begin_block(linear)
+            max_warp, sum_warp, total = fn(rt, bx, threads, gdim, bdim,
+                                           *args)
+            record.blocks.append(BlockCost(max_warp, sum_warp))
+            record.total_cycles += total
+        return
 
     def call(bx, by, bz):
         if kernel.multi_dim:
@@ -233,10 +268,7 @@ def _run_grid_nd(kernel, rt, gdim, bdim, args, record):
             total = 0
             for tx, ty, tz in _thread_coords(bdim):
                 rt.tc = 0
-                if kernel.multi_dim:
-                    c = fn(rt, bx, by, bz, tx, ty, tz, gdim, bdim, *args)
-                else:
-                    c = fn(rt, bx, tx, gdim, bdim, *args)
+                c = fn(rt, bx, by, bz, tx, ty, tz, gdim, bdim, *args)
                 c += rt.tc
                 cycles.append(c)
                 total += c
@@ -290,32 +322,7 @@ def _rotate_generators(rt, generators, num_threads):
     return max_warp, sum_warp, sum(cycles)
 
 
-def _run_block(fn, rt, bix, gdim, bdim, args):
-    """Straight-line block: call the kernel function once per thread."""
-    max_warp = 0
-    sum_warp = 0
-    total = 0
-    warp_peak = 0
-    for tix in range(bdim.x):
-        rt.tc = 0
-        cycles = fn(rt, bix, tix, gdim, bdim, *args) + rt.tc
-        total += cycles
-        if cycles > warp_peak:
-            warp_peak = cycles
-        if tix % _WARP == _WARP - 1:
-            sum_warp += warp_peak
-            if warp_peak > max_warp:
-                max_warp = warp_peak
-            warp_peak = 0
-    if bdim.x % _WARP != 0:
-        sum_warp += warp_peak
-        if warp_peak > max_warp:
-            max_warp = warp_peak
-    return max_warp, sum_warp, total
-
-
-def _run_block_barrier(fn, rt, bix, gdim, bdim, args):
+def _run_block_barrier(fn, rt, bix, threads, gdim, bdim, *args):
     """Barrier block: rotate thread generators between __syncthreads()."""
-    generators = [fn(rt, bix, tix, gdim, bdim, *args)
-                  for tix in range(bdim.x)]
-    return _rotate_generators(rt, generators, bdim.x)
+    generators = [fn(rt, bix, tix, gdim, bdim, *args) for tix in threads]
+    return _rotate_generators(rt, generators, len(threads))

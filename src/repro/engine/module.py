@@ -24,7 +24,11 @@ from .values import Ptr, alloc_for_type
 
 @dataclass
 class KernelHandle:
-    """One compiled kernel: the generated Python callable plus launch facts."""
+    """One compiled kernel: the generated Python callable plus launch facts.
+
+    *fn* is the block function ``b_<name>`` when *fused*, else the
+    per-thread ``k_<name>`` (see :mod:`repro.engine.codegen`).
+    """
 
     name: str
     fn: callable
@@ -35,6 +39,12 @@ class KernelHandle:
     @property
     def num_params(self):
         return len(self.params)
+
+    @property
+    def fused(self):
+        """Does *fn* run a whole block per call? Codegen compiles every
+        barrier-free kernel of a 1-D program to a block function."""
+        return not self.has_barrier and not self.multi_dim
 
 
 @dataclass(frozen=True)
@@ -99,12 +109,12 @@ class Module:
         self._allocate_globals()
         self.kernels = {}
         for name, info in artifact.kernel_info.items():
-            self.kernels[name] = KernelHandle(
-                name=name,
-                fn=self.namespace["k_" + name],
-                has_barrier=info["has_barrier"],
-                params=info["params"],
-                multi_dim=info["multi_dim"])
+            kernel = KernelHandle(
+                name=name, fn=None, has_barrier=info["has_barrier"],
+                params=info["params"], multi_dim=info["multi_dim"])
+            kernel.fn = self.namespace[
+                ("b_" if kernel.fused else "k_") + name]
+            self.kernels[name] = kernel
 
     @classmethod
     def from_artifact(cls, artifact):

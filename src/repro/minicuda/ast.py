@@ -12,6 +12,19 @@ from dataclasses import dataclass, field, fields
 from typing import Optional
 
 
+_FIELD_NAMES = {}
+
+
+def field_names(node):
+    """The dataclass field names of *node*'s class, looked up once per
+    class (``dataclasses.fields`` rebuilds its tuple on every call)."""
+    cls = type(node)
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
+    return names
+
+
 class Node:
     """Base class for all AST nodes."""
 
@@ -20,21 +33,23 @@ class Node:
         return copy.deepcopy(self)
 
     def children(self):
-        """Yield every direct child Node (lists are flattened)."""
-        for f in fields(self):
-            value = getattr(self, f.name)
+        """A list of every direct child Node (lists are flattened)."""
+        kids = []
+        for name in field_names(self):
+            value = getattr(self, name)
             if isinstance(value, Node):
-                yield value
+                kids.append(value)
             elif isinstance(value, list):
-                for item in value:
-                    if isinstance(item, Node):
-                        yield item
+                kids.extend(item for item in value if isinstance(item, Node))
+        return kids
 
     def walk(self):
         """Yield this node and every descendant, pre-order."""
-        yield self
-        for child in self.children():
-            yield from child.walk()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children()))
 
 
 def region_of(node):

@@ -9,9 +9,7 @@ Two styles are provided:
   delete the statement.
 """
 
-from dataclasses import fields
-
-from .ast import Node, Stmt
+from .ast import Node, Stmt, field_names
 
 
 class Visitor:
@@ -49,14 +47,14 @@ class Transformer:
         return node
 
     def _transform_children(self, node):
-        for f in fields(node):
-            value = getattr(node, f.name)
+        for name in field_names(node):
+            value = getattr(node, name)
             if isinstance(value, Node):
                 replacement = self.visit(value)
                 if replacement is None and isinstance(value, Stmt):
                     from .ast import Compound
                     replacement = Compound([])
-                setattr(node, f.name, replacement)
+                setattr(node, name, replacement)
             elif isinstance(value, list):
                 new_items = []
                 for item in value:
@@ -70,7 +68,7 @@ class Transformer:
                         new_items.extend(replacement)
                     else:
                         new_items.append(replacement)
-                setattr(node, f.name, new_items)
+                setattr(node, name, new_items)
 
 
 def find_all(node, node_type):

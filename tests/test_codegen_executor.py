@@ -111,6 +111,22 @@ class TestBasicSemantics:
         run(src, "k", 1, 1, out, 5, 3)
         assert out[0] == 5 and out[1] == 0
 
+    @pytest.mark.parametrize("a, b, expected", [
+        (3, 5, [1, 1, 2]), (0, 7, [0, 1, 1]), (0, 0, [0, 0, 0])])
+    def test_logical_ops_as_values_are_zero_or_one(self, a, b, expected):
+        src = """
+        __global__ void k(int *out, int a, int b) {
+            int x = a && b;
+            int y = a || b;
+            out[0] = x;
+            out[1] = y;
+            out[2] = (a && b) + (a || b);
+        }
+        """
+        out = alloc_for_type(Type("int"), 3)
+        run(src, "k", 1, 1, out, a, b)
+        assert [out[k] for k in range(3)] == expected
+
     def test_device_function_call_in_expression(self):
         src = """
         __device__ int square(int x) { return x * x; }
@@ -339,6 +355,120 @@ class TestCostAccounting:
         _, _, record = run(src, "k", 1, 1, alloc_for_type(Type("int"), 1))
         assert record.reg_agg == 0
         assert record.reg_disagg == 0
+
+
+def block_costs(record):
+    return [(b.max_warp, b.sum_warp) for b in record.blocks], \
+        record.total_cycles
+
+
+class TestBlockFunction:
+    """A barrier-free kernel of a 1-D program runs as one block function;
+    its outputs and block costs are checked against hand-computed values
+    (weights: alu 1, mem 10, atomic 24, device call 2)."""
+
+    def test_return_ends_only_the_current_thread(self):
+        # t >= n returns at thread level (cost 1); t < 9 returns two loops
+        # deep (19 + 18*i + 5*j with t = 3i + j); the rest finish the
+        # loops (1 + 55) and store (11).
+        src = """
+        __global__ void k(int *out, int n) {
+            int t = threadIdx.x;
+            if (t >= n) { return; }
+            for (int i = 0; i < 3; i++) {
+                for (int j = 0; j < 3; j++) {
+                    if (i * 3 + j == t) { out[t] = i * 10 + j; return; }
+                }
+            }
+            out[t] = 99;
+        }
+        """
+        out = alloc_for_type(Type("int"), 12)
+        _, _, record = run(src, "k", 1, 12, out, 11)
+        assert [out[t] for t in range(12)] == \
+            [0, 1, 2, 10, 11, 12, 20, 21, 22, 99, 99, 0]
+        cycles = [19 + 18 * (t // 3) + 5 * (t % 3) for t in range(9)]
+        cycles += [67, 67, 1]
+        assert block_costs(record) == ([(67, 67)], sum(cycles))
+
+    def test_rebound_pointer_parameters_stay_pointers(self):
+        src = """
+        __global__ void k(int *p, int *q, int n) {
+            p = p + 1;
+            q++;
+            p[threadIdx.x] = n;
+            q[threadIdx.x] = n + 1;
+        }
+        """
+        module = Module(src)
+        assert "a_p = " not in module.python_source
+        assert "a_q = " not in module.python_source
+        p = alloc_for_type(Type("int"), 4)
+        q = alloc_for_type(Type("int"), 4)
+        _, _, record = run(src, "k", 1, 2, p, q, 7, module=module)
+        assert list(p.array) == [0, 7, 7, 0]
+        assert list(q.array) == [0, 8, 8, 0]
+        assert block_costs(record) == ([(26, 26)], 52)
+
+    def test_compound_stores_through_hoisted_pointer_truncate(self):
+        # Each thread adds 2.5 at the slot it claims from c (the index is
+        # evaluated once), bumps p[t + 2], then subtracts 2.5 from p[0];
+        # int memory truncates toward zero: int(0.5) = 0, int(-2.5) = -2.
+        src = """
+        __global__ void k(int *p, int *c, float x) {
+            p[atomicAdd(c, 1)] += x;
+            p[threadIdx.x + 2]++;
+            *p -= x;
+        }
+        """
+        module = Module(src)
+        assert "a_p = " in module.python_source
+        p = int_array([1, -1, 5, 7])
+        c = int_array([0])
+        _, _, record = run(src, "k", 1, 2, p, c, 2.5, module=module)
+        assert list(p.array) == [-2, 1, 6, 8]
+        assert [type(v) for v in p.array] == [int] * 4
+        assert c[0] == 2
+        assert block_costs(record) == ([(49, 49)], 98)
+
+    def test_device_function_cycles_go_to_the_calling_thread(self):
+        # twice() costs 3 on top of its call site (13); every thread pays
+        # the test (1). Thread 1 is in warp 0 of 34 threads.
+        src = """
+        __device__ int twice(int v) { int w = v + v; w = w * 3; return w; }
+        __global__ void k(int *out) {
+            if (threadIdx.x == 1) { out[1] = twice(threadIdx.x); }
+        }
+        """
+        out = alloc_for_type(Type("int"), 2)
+        _, _, record = run(src, "k", 1, 34, out)
+        assert out[1] == 6
+        assert block_costs(record) == ([(17, 18)], 33 + 17)
+
+    LOOP_SRC = """
+    __global__ void k(int *out) {
+        int s = 0;
+        for (int i = 0; i < threadIdx.x; i++) { s += 1; }
+        out[threadIdx.x] = s;
+    }
+    """
+
+    def test_forty_threads_are_two_warps(self):
+        # Thread t costs 3t + 12: warp peaks at t = 31 and t = 39.
+        out = alloc_for_type(Type("int"), 40)
+        _, _, record = run(self.LOOP_SRC, "k", 1, 40, out)
+        assert list(out.array) == list(range(40))
+        assert block_costs(record) == \
+            ([(129, 105 + 129)], sum(3 * t + 12 for t in range(40)))
+
+    def test_warps_form_over_the_linearized_block(self):
+        # Block (40, 2): linear threads 0-31, 32-63 and 64-79 are the warps;
+        # their highest x indices are 31, 39 and 39.
+        out = alloc_for_type(Type("int"), 40)
+        _, _, record = run(self.LOOP_SRC, "k", 1, Dim3(40, 2), out)
+        assert list(out.array) == list(range(40))
+        assert block_costs(record) == \
+            ([(129, 105 + 129 + 129)], 2 * sum(3 * t + 12 for t in range(40)))
 
 
 class TestCodegenErrors:

@@ -186,10 +186,16 @@ class TestDeviceMemoryContract:
 
 class TestCArithmetic:
     def test_int_division_truncates_toward_zero(self):
-        assert c_div(7, 2) == 3
-        assert c_div(-7, 2) == -3
-        assert c_div(7, -2) == -3
-        assert c_div(-7, -2) == 3
+        # Every sign pair, exact and inexact, an int past float precision
+        # and bool operands; the quotient stays an exact int.
+        cases = [(7, 2, 3), (-7, 2, -3), (7, -2, -3), (-7, -2, 3),
+                 (6, 2, 3), (-6, 2, -3), (6, -2, -3), (-6, -2, 3),
+                 (1, 7, 0), (-1, 7, 0), (1, -7, 0), (-1, -7, 0), (0, -7, 0),
+                 (-(10 ** 20 + 1), 3, -33333333333333333333),
+                 (True, 1, 1), (-5, True, -5), (False, -3, 0)]
+        for a, b, quotient in cases:
+            assert c_div(a, b) == quotient, (a, b)
+            assert type(c_div(a, b)) is int, (a, b)
 
     def test_float_division(self):
         assert c_div(7.0, 2) == 3.5

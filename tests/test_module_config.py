@@ -11,7 +11,7 @@ from repro.sim import (CostModel, DeviceConfig, Trace, call_cost)
 class TestModule:
     def test_python_source_exposed(self):
         module = Module("__global__ void k(int *p) { p[0] = 1; }")
-        assert "def k_k(" in module.python_source
+        assert "def b_k(" in module.python_source
 
     def test_global_array(self):
         src = """

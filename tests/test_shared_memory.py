@@ -140,3 +140,80 @@ class TestBarrierChildrenUnderOptimization:
         reference = self._run(None)
         outputs = self._run(OptConfig(threshold=64))
         assert outputs_match(reference, outputs, rtol=1e-9)
+
+
+HIST_SRC = """
+__global__ void hist(int *vals, int *out, int n) {
+    __shared__ int bins[4];
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    if (i < n) {
+        atomicAdd(&bins[vals[i]], 1);
+    }
+    %s
+    if (threadIdx.x < 4) {
+        out[blockIdx.x * 4 + threadIdx.x] = bins[threadIdx.x];
+    }
+}
+"""
+
+BIN_VALUES = [0, 1, 2, 3, 3, 2, 1, 1, 0, 3, 3, 3, 2, 0, 1, 1]
+
+
+class TestAtomicsOnBlockArrays:
+    """Atomics on ``__shared__`` and local arrays, which are plain lists
+    rather than device memory."""
+
+    def _run(self, src, threads=8, blocks_=2):
+        vals = alloc_for_type(Type("int"), len(BIN_VALUES))
+        vals.array[:] = BIN_VALUES
+        out = alloc_for_type(Type("int"), blocks_ * 4)
+        run_grid(Module(src), Trace(), "hist", Dim3(blocks_), Dim3(threads),
+                 (vals, out, len(BIN_VALUES)))
+        return list(out.array)
+
+    @pytest.mark.parametrize("barrier", ["", "__syncthreads();"],
+                             ids=["barrier-free", "syncthreads"])
+    def test_block_histogram(self, barrier):
+        # Block 0 bins values 0..7, block 1 values 8..15. Without a barrier
+        # threads run in order, so threads 0-3 read the bins before the
+        # later threads of their block have added to them.
+        out = self._run(HIST_SRC % barrier)
+        if barrier:
+            assert out == [1, 3, 2, 2, 2, 2, 1, 3]
+        else:
+            assert out == [1, 1, 1, 1, 1, 0, 0, 3]
+
+    def test_device_function_reaches_shared_array_through_a_pointer(self):
+        src = """
+        __device__ void bump(int *bins, int v) {
+            atomicAdd(&bins[v], 1);
+            atomicMax(&bins[4], v);
+        }
+        __global__ void hist(int *vals, int *out, int n) {
+            __shared__ int bins[5];
+            int *view = bins;
+            bump(view, vals[blockIdx.x * blockDim.x + threadIdx.x]);
+            __syncthreads();
+            if (threadIdx.x < 4) {
+                out[blockIdx.x * 4 + threadIdx.x] = bins[threadIdx.x];
+            }
+            if (threadIdx.x == 0) {
+                atomicExch(&view[4], 0);
+            }
+        }
+        """
+        assert self._run(src) == [1, 3, 2, 2, 2, 2, 1, 3]
+
+    def test_atomic_on_local_array(self):
+        src = """
+        __global__ void hist(int *vals, int *out, int n) {
+            int acc[2];
+            int i = blockIdx.x * blockDim.x + threadIdx.x;
+            atomicAdd(&acc[1], vals[i]);
+            atomicSub(&acc[1], 1);
+            if (threadIdx.x < 4) {
+                out[blockIdx.x * 4 + threadIdx.x] = acc[1];
+            }
+        }
+        """
+        assert self._run(src) == [-1, 0, 1, 2, -1, 2, 2, 2]

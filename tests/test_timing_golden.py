@@ -12,8 +12,13 @@ and the Fig. 10 breakdown, on the default device and on a skewed one
 (fewer SMs, a faster launch server, pricier host round-trips) so the
 congestion, underutilization and host-aggregation paths all count.
 
-The test replays the stored traces, so it builds no dataset and runs no
-kernel, and NumPy's random streams cannot move the expected values.
+The replay test replays the stored traces, so it builds no dataset and
+runs no kernel, and NumPy's random streams cannot move the expected values.
+
+The re-drive test pins the functional engine on the same corpus: it drives
+every stored case through the engine again and demands the stored trace
+(block costs, launch offsets, region cycles) bit for bit. It builds the
+datasets, so unlike the replay test it depends on NumPy's random streams.
 
 ``PYTHONPATH=src python tests/test_timing_golden.py`` rebuilds the file
 from the benchmarks (see :func:`rebuild`).
@@ -117,6 +122,17 @@ def observe(trace, config):
     }
 
 
+def drive(bench, data, label, params):
+    """The trace of *bench*'s *label* variant with *params* on *data*."""
+    from repro.harness.variants import variant_to_run
+    from repro.runtime.host import Device
+
+    variant, opt = variant_to_run(label, params)
+    device = Device(bench.module_for(variant, opt))
+    bench.drive(device, data)
+    return device.trace
+
+
 def rebuild():
     """Re-record the golden file from the benchmarks' traces.
 
@@ -126,21 +142,17 @@ def rebuild():
     every cached result was computed under the old model.
     """
     from repro.benchmarks import all_benchmarks
-    from repro.harness.variants import variant_to_run
-    from repro.runtime.host import Device
 
     cases = []
     for bench in all_benchmarks():
         data = bench.build_dataset(bench.dataset_names[0], SCALE)
         for case_id, label, params in corpus():
-            variant, opt = variant_to_run(label, params)
-            device = Device(bench.module_for(variant, opt))
-            bench.drive(device, data)
+            trace = drive(bench, data, label, params)
             case = {"id": "%s-%s" % (bench.name, case_id),
                     "benchmark": bench.name, "label": label,
                     "params": params.describe()}
-            case.update(encode_trace(device.trace))
-            case["expected"] = [observe(device.trace, config)
+            case.update(encode_trace(trace))
+            case["expected"] = [observe(trace, config)
                                 for config in DEVICE_CONFIGS]
             # The stored form must replay to the same values.
             assert [observe(decode_trace(case), config)
@@ -168,6 +180,21 @@ def test_bit_identical_timing_and_breakdown(case):
     trace = decode_trace(case)
     for config, expected in zip(DEVICE_CONFIGS, case["expected"]):
         assert observe(trace, config) == expected
+
+
+@pytest.mark.parametrize(
+    "bench_name", sorted({case["benchmark"] for case in CASES}))
+def test_engine_reproduces_stored_traces(bench_name):
+    from repro.benchmarks import get_benchmark
+
+    bench = get_benchmark(bench_name)
+    data = bench.build_dataset(bench.dataset_names[0], SCALE)
+    stored = {case["id"]: case for case in CASES}
+    for case_id, label, params in corpus():
+        case = stored["%s-%s" % (bench_name, case_id)]
+        trace = encode_trace(drive(bench, data, label, params))
+        assert trace == {"grids": case["grids"],
+                         "host_events": case["host_events"]}, case["id"]
 
 
 def test_corpus_covers_all_benchmarks_and_labels():
