@@ -22,15 +22,6 @@ def pytest_addoption(parser):
     parser.addoption("--repro-jobs", action="store", type=int, default=1,
                      help="worker processes for the sweep engine "
                           "(1 = in-process serial)")
-    parser.addoption("--repro-backend", action="store", default=None,
-                     help="sweep backend: serial, process or remote "
-                          "(default: serial for "
-                          "--repro-jobs 1, process otherwise; remote "
-                          "needs --repro-workers)")
-    parser.addoption("--repro-workers", action="store", default=None,
-                     help="remote worker daemons (HOST:PORT,...) to shard "
-                          "the figure grids across; implies the remote "
-                          "backend (start them with 'repro worker serve')")
     parser.addoption("--repro-cache", action="store", default=None,
                      help="persistent sweep result-cache directory; unset "
                           "disables caching")
@@ -45,27 +36,22 @@ def repro_scale(request):
 def sweep_executor(request):
     """The shared sweep engine the benches route their run grids through.
 
-    ``--repro-jobs N`` parallelizes, ``--repro-backend`` picks the
-    execution backend (serial/process/remote),
-    ``--repro-workers HOST:PORT,...`` shards the grids across remote
-    worker daemons, and ``--repro-cache DIR`` makes re-runs skip
-    already-simulated points. With no flag this is None: the figure
-    benches then take the historical serial path, which also
-    cross-checks the outputs of every Fig. 9, 11 and 12 point against
-    the No-CDP reference (executor workers return timings only).
+    ``--repro-jobs N`` runs the grids on a pool of N processes, and
+    ``--repro-cache DIR`` makes re-runs skip already-simulated points.
+    With no flag this is None: the figure benches then take the
+    historical serial path, which also cross-checks the outputs of every
+    Fig. 9, 11 and 12 point against the No-CDP reference (executor
+    workers return timings only).
     """
     from repro.harness import ResultCache, SweepExecutor
 
     cache_dir = request.config.getoption("--repro-cache")
     jobs = request.config.getoption("--repro-jobs")
-    backend = request.config.getoption("--repro-backend")
-    workers = request.config.getoption("--repro-workers")
-    if jobs <= 1 and not cache_dir and backend is None and not workers:
+    if jobs <= 1 and not cache_dir:
         yield None
         return
     executor = SweepExecutor(
-        jobs=jobs, backend=backend, workers=workers,
-        cache=ResultCache(cache_dir) if cache_dir else None)
+        jobs=jobs, cache=ResultCache(cache_dir) if cache_dir else None)
     yield executor
     executor.close()
 

@@ -46,8 +46,8 @@ def main():
     print("service up at %s (cache: %s)\n" % (base, cache_dir))
 
     health, elapsed = fetch(base, "/healthz")
-    print("GET /healthz              %7.1f ms   backend=%s"
-          % (elapsed * 1e3, health["backend"]))
+    print("GET /healthz              %7.1f ms   jobs=%d"
+          % (elapsed * 1e3, health["jobs"]))
 
     point = ("/point?benchmark=BFS&dataset=KRON&label=CDP%%2BT"
              "&threshold=16&scale=%g" % scale)

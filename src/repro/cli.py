@@ -3,8 +3,8 @@
 Mirrors the paper's artifact workflow (Appendix E): transform CUDA sources,
 inspect the analyses, run benchmark variants, and regenerate the evaluation
 figures. ``docs/reproducing.md`` lists the exact command per table/figure;
-``docs/sweep-engine.md`` documents the sweep backends, the cache lifecycle,
-and the remote worker protocol.
+``docs/sweep-engine.md`` documents the sweep engine's parallelism, failure
+contract and cache lifecycle.
 
 Usage::
 
@@ -14,14 +14,10 @@ Usage::
     python -m repro bench BFS KRON --variant CDP+T+C+A --threshold 32
     python -m repro figure fig9 --scale 0.25
     python -m repro sweep --pairs BFS:KRON SSSP:KRON --variants CDP CDP+T \\
-        --threshold 32 --jobs 4 --backend process --cache-dir .repro-cache
-    python -m repro worker serve --port 7070            # on each machine
-    python -m repro sweep --grid fig9 --backend remote \\
-        --workers hostA:7070,hostB:7070
+        --threshold 32 --jobs 4 --cache-dir .repro-cache
     python -m repro cache info --cache-dir .repro-cache
     python -m repro cache prune --cache-dir .repro-cache --max-bytes 1000000
-    python -m repro serve --port 8070 --cache-dir .repro-cache \\
-        --workers hostA:7070,hostB:7070     # HTTP query service
+    python -m repro serve --port 8070 --cache-dir .repro-cache  # HTTP service
 
 ``docs/serving.md`` documents the ``repro serve`` HTTP API.
 """
@@ -35,7 +31,7 @@ import time
 from .analysis import analyze_program, find_launch_sites, find_thread_count
 from .benchmarks import FIG9_PAIRS, FIG12_BENCHMARKS, get_benchmark
 from .errors import ReproError
-from .harness import (BACKENDS, VARIANT_LABELS, FigureArtifactCache,
+from .harness import (VARIANT_LABELS, FigureArtifactCache,
                       PointFailure, ResultCache, SweepExecutor, TuningParams,
                       figure9, figure10, figure11, figure12,
                       fixed_threshold_study, run_variant, sweep_grid, table1)
@@ -165,21 +161,8 @@ _FIGURES = {
 
 def _add_sweep_flags(parser, default_cache=None):
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for the sweep engine")
-    parser.add_argument("--backend", choices=sorted(BACKENDS), default=None,
-                        help="sweep execution backend (default: serial for "
-                             "--jobs 1, process otherwise; remote needs "
-                             "--workers)")
-    parser.add_argument("--workers", default=None,
-                        metavar="HOST:PORT[,HOST:PORT...]",
-                        help="remote worker daemons to shard the sweep "
-                             "across (implies --backend remote; start them "
-                             "with 'repro worker serve')")
-    parser.add_argument("--worker-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="seconds to wait for a remote worker's chunk "
-                             "before declaring it dead and reassigning "
-                             "(default 300)")
+                        help="worker processes for the sweep engine (1 = "
+                             "in-process; more = one process pool)")
     parser.add_argument("--cache-dir", default=default_cache,
                         help="persistent result-cache directory")
     parser.add_argument("--no-cache", action="store_true",
@@ -187,26 +170,14 @@ def _add_sweep_flags(parser, default_cache=None):
 
 
 def _executor_from(args, force=False, on_error="raise"):
-    """Build a SweepExecutor from the --jobs/--backend/--workers/
-    --cache-dir/--no-cache flags, or None when they ask for plain serial,
-    uncached execution. Flag conflicts (validated by
-    :func:`repro.harness.sweep.make_backend`) exit 2."""
+    """Build a SweepExecutor from the --jobs/--cache-dir/--no-cache
+    flags, or None when they ask for plain serial, uncached execution."""
     cache_dir = None if args.no_cache else args.cache_dir
-    workers = getattr(args, "workers", None)
-    worker_timeout = getattr(args, "worker_timeout", None)
-    if (not force and args.jobs <= 1 and cache_dir is None
-            and args.backend is None and not workers
-            and worker_timeout is None):
+    if not force and args.jobs <= 1 and cache_dir is None:
         return None
-    try:
-        return SweepExecutor(jobs=args.jobs, backend=args.backend,
-                             workers=workers,
-                             worker_timeout=worker_timeout,
-                             cache=ResultCache(cache_dir) if cache_dir
-                             else None, on_error=on_error)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        raise SystemExit(2)
+    return SweepExecutor(jobs=args.jobs,
+                         cache=ResultCache(cache_dir) if cache_dir else None,
+                         on_error=on_error)
 
 
 def cmd_figure(args):
@@ -301,74 +272,15 @@ def cmd_sweep(args):
         for row in rows:
             print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     stats = executor.stats
-    if executor.backend.name == "remote":
-        pool = "workers=%d" % len(executor.backend.addresses)
-    else:
-        pool = "jobs=%d" % executor.jobs
     print("%d points: %d cached, %d simulated, %d failed "
-          "(backend=%s, %s, %.2fs)%s"
+          "(jobs=%d, %.2fs)%s"
           % (stats.points, stats.hits, stats.simulated, stats.failed,
-             executor.backend.name, pool, elapsed,
+             executor.jobs, elapsed,
              "" if executor.cache is None else ", cache: %s" % args.cache_dir),
           file=sys.stderr)
     for failure in failures:
         print("failed: %s" % failure.describe(), file=sys.stderr)
     return 1 if failures else 0
-
-
-def cmd_worker(args):
-    from .harness.remote import (RemoteError, WorkerServer, parse_workers,
-                                 worker_ping, worker_stop)
-
-    if args.worker_command == "serve":
-        try:
-            server = WorkerServer(host=args.host, port=args.port,
-                                  jobs=args.jobs, quiet=False)
-        except (OSError, OverflowError) as exc:
-            print("cannot bind %s:%d: %s" % (args.host, args.port, exc),
-                  file=sys.stderr)
-            return 1
-        host, port = server.address
-        print("repro worker listening on %s:%d (jobs=%d)"
-              % (host, port, args.jobs), flush=True)
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            server.close()
-        return 0
-    try:
-        addresses = parse_workers(args.address)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    if len(addresses) != 1:
-        print("worker %s takes exactly one HOST:PORT, got %d addresses"
-              % (args.worker_command, len(addresses)), file=sys.stderr)
-        return 2
-    address, = addresses
-    try:
-        if args.worker_command == "ping":
-            pong = worker_ping(address, timeout=args.timeout)
-            print("worker %s:%d alive: protocol %s, cache v%s, code %s, "
-                  "jobs=%s, %s points served"
-                  % (address[0], address[1], pong.get("protocol"),
-                     pong.get("cache_version"), pong.get("code_version"),
-                     pong.get("jobs"), pong.get("points_served")))
-        else:
-            worker_stop(address, timeout=args.timeout)
-            print("stopped worker %s:%d" % address)
-    except RemoteError as exc:
-        # Reachable but incompatible/garbled (e.g. version skew) — the
-        # exact condition ping exists to surface; don't call it dead.
-        print(exc, file=sys.stderr)
-        return 1
-    except (OSError, ReproError) as exc:
-        print("worker %s:%d unreachable: %s" % (address[0], address[1], exc),
-              file=sys.stderr)
-        return 1
-    return 0
 
 
 def cmd_serve(args):
@@ -401,23 +313,18 @@ def cmd_serve(args):
     try:
         server = ServeServer(host=args.host, port=args.port, quiet=False,
                              cache_dir=cache_dir, jobs=args.jobs,
-                             backend=args.backend, workers=args.workers,
-                             worker_timeout=args.worker_timeout,
                              miss_workers=args.miss_workers,
                              max_pending=args.max_pending,
                              request_timeout=args.request_timeout,
                              quota=quota, api_keys=auth)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
     except (OSError, OverflowError) as exc:
         print("cannot bind %s:%d: %s" % (args.host, args.port, exc),
               file=sys.stderr)
         return 1
     host, port = server.address
-    print("repro serve listening on http://%s:%d/ (backend=%s, cache=%s, "
+    print("repro serve listening on http://%s:%d/ (jobs=%d, cache=%s, "
           "miss-workers=%d, max-pending=%d, auth=%s, quota=%s)"
-          % (host, port, server.service.executor.backend.name,
+          % (host, port, server.service.executor.jobs,
              cache_dir or "disabled", args.miss_workers, args.max_pending,
              "%d key(s)" % len(auth) if auth is not None else "off",
              "on" if quota is not None else "off"),
@@ -536,9 +443,8 @@ def build_parser():
 
     p_figure = sub.add_parser(
         "figure", help="regenerate a table/figure of the evaluation "
-                       "(accepts the sweep engine's --jobs/--backend/"
-                       "--workers/--cache-dir flags; warm runs are "
-                       "near-instant)")
+                       "(accepts the sweep engine's --jobs/--cache-dir "
+                       "flags; warm runs are near-instant)")
     p_figure.add_argument("name", choices=sorted(_FIGURES))
     p_figure.add_argument("--scale", type=float, default=0.25)
     p_figure.add_argument("--strategy", choices=("guided", "exhaustive"),
@@ -554,8 +460,7 @@ def build_parser():
     p_sweep = sub.add_parser(
         "sweep", help="run a (pairs x variants) grid through the parallel "
                       "sweep engine with a persistent result cache "
-                      "(--backend serial|process|remote, "
-                      "--keep-going to continue past failed points)")
+                      "(--keep-going to continue past failed points)")
     p_sweep.add_argument("--grid", choices=sorted(_SWEEP_GRIDS),
                          default="fig9",
                          help="preset benchmark/dataset grid "
@@ -578,29 +483,6 @@ def build_parser():
     _add_sweep_flags(p_sweep, default_cache=".repro-cache")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_worker = sub.add_parser(
-        "worker", help="run or manage remote sweep worker daemons "
-                       "(the --backend remote fleet)")
-    wsub = p_worker.add_subparsers(dest="worker_command", required=True)
-    w_serve = wsub.add_parser(
-        "serve", help="serve sweep chunks over TCP until stopped")
-    w_serve.add_argument("--host", default="127.0.0.1",
-                         help="interface to bind (default 127.0.0.1)")
-    w_serve.add_argument("--port", type=int, default=0,
-                         help="port to bind (default 0: pick an ephemeral "
-                              "port and print it)")
-    w_serve.add_argument("--jobs", type=int, default=1,
-                         help="local worker processes per chunk (1 = "
-                              "in-process serial)")
-    w_ping = wsub.add_parser(
-        "ping", help="handshake with a worker and report its versions")
-    w_ping.add_argument("address", metavar="HOST:PORT")
-    w_ping.add_argument("--timeout", type=float, default=10.0)
-    w_stop = wsub.add_parser("stop", help="ask a worker daemon to exit")
-    w_stop.add_argument("address", metavar="HOST:PORT")
-    w_stop.add_argument("--timeout", type=float, default=10.0)
-    p_worker.set_defaults(func=cmd_worker)
-
     p_serve = sub.add_parser(
         "serve", help="run the long-lived HTTP query service over the "
                       "warm caches (GET /healthz, /cache/info, /metrics, "
@@ -609,7 +491,7 @@ def build_parser():
                       "bounded priority scheduler (--miss-workers/"
                       "--max-pending, per-request priorities and "
                       "deadlines via X-Repro-* headers) over the sweep "
-                      "engine (--jobs/--backend/--workers)")
+                      "engine (--jobs)")
     p_serve.add_argument("--host", default="127.0.0.1",
                          help="interface to bind (default 127.0.0.1)")
     p_serve.add_argument("--port", type=int, default=0,
@@ -619,7 +501,7 @@ def build_parser():
                          metavar="N",
                          help="concurrent miss executors draining the "
                               "request queue (default 2); each owns its "
-                              "own backend, so cold requests for distinct "
+                              "own executor, so cold requests for distinct "
                               "points overlap while requests for the same "
                               "point share one computation")
     p_serve.add_argument("--max-pending", type=int, default=64,

@@ -1,9 +1,9 @@
 """In-process compiled-kernel cache: miniCUDA → executable artifact, once.
 
-Every sweep point, remote worker chunk, and serve miss used to re-lex,
-re-parse, re-transform, and re-transpile the benchmark's kernel sources
-before simulating anything — a fixed per-point floor that dominates small
-points. This cache memoizes the whole compile pipeline per
+Every sweep point and serve miss used to re-lex, re-parse, re-transform,
+and re-transpile the benchmark's kernel sources before simulating
+anything — a fixed per-point floor that dominates small points. This
+cache memoizes the whole compile pipeline per
 
     (kernel source, transform config, cost model, code version)
 

@@ -10,9 +10,8 @@ from .figures import (BreakdownFigure, FixedThresholdResult, SpeedupFigure,
                       figure12, fixed_threshold_study, table1)
 from .runner import (RunResult, child_launch_sizes, geomean, outputs_match,
                      run_variant)
-from .sweep import (BACKENDS, Backend, PointFailure, SweepExecutor,
-                    SweepPoint, SweepPointError, SweepStats, make_backend,
-                    run_sweep, sweep_grid)
+from .sweep import (PointFailure, SweepExecutor, SweepPoint,
+                    SweepPointError, SweepStats, sweep_grid)
 from .index import CacheIndex
 from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                       REGISTRY)
@@ -21,9 +20,6 @@ from .quota import (ApiKey, ApiKeyAuth, ClientQuota, QuotaLease,
                     QuotaManager, load_api_keys)
 from .task import (PRIORITY_HIGH, PRIORITY_LOW, PRIORITY_NORMAL,
                    Provenance, Task, parse_priority, priority_label)
-from .remote import (RemoteBackend, RemoteError, RemoteHandshakeError,
-                     RemoteProtocolError, RemoteWorkerError, WorkerServer,
-                     parse_workers, worker_ping, worker_stop)
 from .serve import ENDPOINTS, QueryService, ServeServer
 from .tuning import (FULL_THRESHOLDS, TuneOutcome, threshold_candidates,
                      tune)
@@ -35,12 +31,8 @@ __all__ = [
     "CACHE_VERSION", "CacheInfo", "FigureArtifactCache", "PruneReport",
     "ResultCache", "decode_result", "encode_result", "figure_key",
     "point_key",
-    "BACKENDS", "Backend", "PointFailure", "SweepExecutor", "SweepPoint",
-    "SweepPointError", "SweepStats", "make_backend", "run_sweep",
-    "sweep_grid",
-    "RemoteBackend", "RemoteError", "RemoteHandshakeError",
-    "RemoteProtocolError", "RemoteWorkerError", "WorkerServer",
-    "parse_workers", "worker_ping", "worker_stop",
+    "PointFailure", "SweepExecutor", "SweepPoint", "SweepPointError",
+    "SweepStats", "sweep_grid",
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "REGISTRY",
     "CacheIndex",
     "RequestScheduler",

@@ -18,8 +18,8 @@ autotuners like OpenTuner for this role).
 
 from dataclasses import dataclass, field
 
-from .runner import child_launch_sizes, run_variant
-from .tuning import FULL_THRESHOLDS
+from .runner import child_launch_sizes
+from .tuning import FULL_THRESHOLDS, _evaluate_grid
 from .variants import TuningParams, uses
 
 
@@ -69,7 +69,7 @@ def quick_tune(bench, data, label="CDP+T+C+A", device_config=None,
     :param executor: optional
         :class:`~repro.harness.sweep.SweepExecutor`; with the dataset
         *scale* the candidate grid runs through the sweep engine
-        (parallel, cacheable, shardable) instead of serially. Point
+        (parallel, cacheable) instead of serially. Point
         failures raise :class:`~repro.harness.sweep.SweepPointError`.
     :returns: a :class:`QuickTuneResult` (best params, best time, run
         count, and every point evaluated).
@@ -95,22 +95,6 @@ def quick_tune(bench, data, label="CDP+T+C+A", device_config=None,
         if best_time is None or total_time < best_time:
             best, best_time = params, total_time
     return QuickTuneResult(best, best_time, len(evaluated), evaluated)
-
-
-def _evaluate_grid(bench, data, label, grid, device_config, executor, scale):
-    """Total times for *grid*, via the sweep engine when one is supplied."""
-    if executor is not None and scale is not None:
-        from .sweep import SweepPoint
-        from ..sim.config import DeviceConfig
-        device_config = device_config or DeviceConfig()
-        dataset_name = getattr(data, "name", "?")
-        points = [SweepPoint(bench.name, dataset_name, label, params,
-                             device_config, scale) for params in grid]
-        # Tuners cannot represent failed points: force failures to raise.
-        return [result.total_time
-                for result in executor.run(points, on_error="raise")]
-    return [run_variant(bench, data, label, params, device_config).total_time
-            for params in grid]
 
 
 def hill_climb(bench, data, label="CDP+T+C+A", start=None, budget=24,

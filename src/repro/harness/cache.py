@@ -114,13 +114,11 @@ def encode_result(result):
     * the on-disk cache stores it as the ``result`` field of
       ``<cache-dir>/<key>.json`` (:class:`ResultCache`,
       ``docs/sweep-engine.md``);
-    * the remote backend ships it inside ``chunk_result`` TCP frames
-      (:mod:`repro.harness.remote`, ``docs/sweep-engine.md``);
     * the HTTP query service returns it verbatim as the ``result`` field
       of ``GET /point`` and ``POST /sweep`` responses
       (:mod:`repro.harness.serve`, ``docs/serving.md``).
 
-    Raw ``outputs`` arrays are dropped — disk, TCP, and HTTP all carry
+    Raw ``outputs`` arrays are dropped — disk and HTTP both carry
     timings only. Invert with :func:`decode_result`; the payload
     round-trips through ``json`` unchanged:
 
@@ -146,11 +144,11 @@ def encode_result(result):
 def decode_result(payload):
     """Rebuild a :class:`~repro.harness.runner.RunResult` from
     :func:`encode_result`'s payload — the other half of the shared
-    disk/TCP/HTTP result contract (see :func:`encode_result`).
+    disk/HTTP result contract (see :func:`encode_result`).
 
     Raises ``KeyError``/``TypeError``/``ValueError`` on malformed
-    payloads — callers treat that as corruption (cache), protocol
-    garbage (remote), or a schema mismatch (HTTP clients).
+    payloads — callers treat that as corruption (cache) or a schema
+    mismatch (HTTP clients).
     """
     return RunResult.from_dict(payload)
 

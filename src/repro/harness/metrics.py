@@ -2,7 +2,7 @@
 text exposition — stdlib only.
 
 Every serving-path layer (HTTP service, request scheduler, sweep
-executor, result/figure caches, remote fleet) records into one shared
+executor, result/figure caches, quotas) records into one shared
 :class:`MetricsRegistry` (:data:`REGISTRY`); ``repro serve`` exposes it
 as ``GET /metrics`` in the Prometheus text format (version 0.0.4), so a
 stock Prometheus/Grafana stack can scrape a running service without any
@@ -37,7 +37,7 @@ __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "REGISTRY",
            "DEFAULT_BUCKETS"]
 
 #: Default histogram bucket upper bounds (seconds): sub-millisecond warm
-#: hits through multi-minute cold fleet sweeps.
+#: hits through multi-minute cold sweeps.
 DEFAULT_BUCKETS = (0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25,
                    0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0)
 

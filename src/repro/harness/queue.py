@@ -5,8 +5,8 @@ lock, so a single cold ``/sweep`` stalled every other cold request. This
 module replaces that lock with a :class:`RequestScheduler`: a bounded
 **deadline-aware priority queue** drained by a configurable number of
 worker threads (``--miss-workers``), each owning its own
-:class:`~repro.harness.sweep.SweepExecutor` (the sweep backends are not
-safe for concurrent ``map`` calls, so concurrency comes from *multiple*
+:class:`~repro.harness.sweep.SweepExecutor` (an executor is not safe for
+concurrent ``run`` calls, so concurrency comes from *multiple*
 executors sharing one :class:`~repro.harness.cache.ResultCache`, which
 is multi-process safe by construction).
 
@@ -98,7 +98,7 @@ class RequestScheduler:
     *executors* is a non-empty list of
     :class:`~repro.harness.sweep.SweepExecutor`\\ s — one dedicated
     worker thread per executor (the executors should share one cache but
-    must not share a backend). The scheduler does **not** own the
+    must not be shared between threads). The scheduler does **not** own the
     executors; callers close them after :meth:`close` returns.
     """
 

@@ -5,8 +5,8 @@ tuner outputs — used to shell out to ``repro figure``/``repro sweep``
 even when the answer was already sitting warm in the
 :class:`~repro.harness.cache.ResultCache`. This module fronts the caches
 with a stdlib-only threaded HTTP server (``repro serve`` on the CLI) and
-uses the sweep engine — including the ``--workers`` remote fleet — as its
-miss path, so results become queryable at interactive latency.
+uses the sweep engine as its miss path, so results become queryable at
+interactive latency.
 
 Endpoints (the full reference with request/response examples lives in
 ``docs/serving.md``; :data:`ENDPOINTS` is the machine-readable list):
@@ -17,7 +17,7 @@ Endpoints (the full reference with request/response examples lives in
   miss scheduler's queue counters;
 * ``GET /metrics`` — the process-wide
   :data:`~repro.harness.metrics.REGISTRY` in Prometheus text exposition
-  format (serve, queue, sweep, cache, and remote-fleet series);
+  format (serve, queue, sweep, cache, and quota series);
 * ``GET /point?benchmark=..&dataset=..&label=..&threshold=..`` — one
   sweep point. Params are canonicalized through
   :func:`~repro.harness.variants.mask_params`, so any URL describing the
@@ -35,17 +35,17 @@ Endpoints (the full reference with request/response examples lives in
   SIGTERM).
 
 Results travel as :func:`~repro.harness.cache.encode_result` payloads —
-the same encoding the disk cache and the remote TCP protocol use, so the
-three consumers share one contract.
+the same encoding the disk cache uses, so both consumers share one
+contract.
 
 Concurrency model: the cache hit path is lock-free (content-addressed
 files, atomically replaced — concurrent readers can never observe a torn
 entry), so warm traffic scales with the server's thread pool. Miss-path
 work for ``/point`` and ``/sweep`` flows through a bounded
 priority-queue :class:`~repro.harness.queue.RequestScheduler`
-(``--miss-workers`` executors, each with its own backend, sharing one
-cache; per-point in-flight dedup; ``--max-pending`` backpressure mapped
-to 503). Requests may carry a **priority class** and a **deadline**
+(``--miss-workers`` executors sharing one cache; per-point in-flight
+dedup; ``--max-pending`` backpressure mapped to 503). Requests may carry
+a **priority class** and a **deadline**
 (``X-Repro-Priority`` / ``X-Repro-Deadline-Ms`` headers, or the
 ``priority``/``deadline_ms`` body fields of ``POST /sweep``): higher
 priorities run first (FIFO within a class), expired work is shed without
@@ -384,10 +384,11 @@ class QueryService:
     serializes), so tests and embedders can drive the service without a
     socket. Every public method returns ``(payload, http_status)``.
 
-    ``miss_workers`` executors (each with its own backend instance,
-    sharing one cache) drain the bounded miss queue concurrently; one
-    extra dedicated executor (:attr:`executor`) serves figure builds, so
-    a figure campaign and point misses never contend for one backend.
+    ``miss_workers`` executors (sharing one cache) drain the bounded
+    miss queue concurrently, one point per task, so they simulate
+    in-process; one extra dedicated executor (:attr:`executor`) serves
+    figure builds, whose grids use a pool when ``jobs > 1``, so a figure
+    campaign and point misses never contend for one executor.
     ``max_pending`` bounds the queue — submissions past it are rejected
     with :class:`~repro.errors.QueueFullError` (HTTP 503).
 
@@ -397,8 +398,7 @@ class QueryService:
     ``docs/serving.md``).
     """
 
-    def __init__(self, cache_dir=".repro-cache", jobs=1, backend=None,
-                 workers=None, worker_timeout=None, quiet=True,
+    def __init__(self, cache_dir=".repro-cache", jobs=1, quiet=True,
                  miss_workers=2, max_pending=64,
                  request_timeout=DEFAULT_REQUEST_TIMEOUT,
                  quota=None, api_keys=None):
@@ -425,14 +425,12 @@ class QueryService:
 
         def make_executor():
             return SweepExecutor(jobs=jobs, cache=self.cache,
-                                 backend=backend, workers=workers,
-                                 worker_timeout=worker_timeout,
                                  on_error="continue")
 
         #: The figure-path executor (also the one ``/healthz`` reports).
         self.executor = make_executor()
-        #: One executor per scheduler worker; backends are not safe for
-        #: concurrent ``map`` calls, so concurrency means N executors.
+        #: One executor per scheduler worker; an executor is not safe for
+        #: concurrent ``run`` calls, so concurrency means N executors.
         self.miss_executors = [make_executor() for _ in range(miss_workers)]
         self.scheduler = RequestScheduler(self.miss_executors,
                                           max_pending=max_pending)
@@ -470,7 +468,7 @@ class QueryService:
         return ({"status": "ok",
                  "version": __version__,
                  "cache_version": CACHE_VERSION,
-                 "backend": self.executor.backend.name,
+                 "jobs": self.executor.jobs,
                  "cache_dir": self.cache_dir,
                  "miss_workers": self.scheduler.workers,
                  "request_timeout": self.request_timeout,
@@ -499,7 +497,7 @@ class QueryService:
                       if self.cache else None),
             "metrics": {"series": REGISTRY.series_count(),
                         "endpoint": "GET /metrics"},
-            "backend": self.executor.backend.name,
+            "jobs": self.executor.jobs,
         }
         return (payload, 200)
 
@@ -766,7 +764,7 @@ class QueryService:
             payload["provenance"] = {
                 "version": __version__,
                 "cache_version": CACHE_VERSION,
-                "backend": self.executor.backend.name,
+                "jobs": self.executor.jobs,
                 "query": dict(query),
             }
         return (payload, 200)
@@ -777,8 +775,8 @@ class QueryService:
 
     def close(self, drain=True, timeout=None):
         """Drain the scheduler (or abandon the queue with
-        ``drain=False``), then release every executor's
-        pool/connections. Idempotent."""
+        ``drain=False``), then release every executor's pool.
+        Idempotent."""
         self.scheduler.close(drain=drain, timeout=timeout)
         self.executor.close()
         for executor in self.miss_executors:
@@ -1026,10 +1024,8 @@ class ServeServer:
 
     Binds ``host:port`` (port 0 picks an ephemeral port — read it back
     from :attr:`address`). Service configuration (``cache_dir``,
-    ``jobs``, ``backend``, ``workers``, ``worker_timeout``,
-    ``miss_workers``, ``max_pending``) is forwarded to
+    ``jobs``, ``miss_workers``, ``max_pending``) is forwarded to
     :class:`QueryService` unless a ready-made *service* is given.
-    Mirrors :class:`~repro.harness.remote.WorkerServer`'s lifecycle:
     :meth:`serve_forever` for the CLI, :meth:`start` for tests and
     embedding, :meth:`close` to drain the miss queue and release the
     socket and executors. ``POST /shutdown`` (loopback-only) stops

@@ -2,23 +2,13 @@
 
 Figures 9-12, Table 1, and the autotuner are all sweeps over
 (benchmark × dataset × variant × tuning params). This module executes such
-a grid as a declarative list of :class:`SweepPoint`\\ s, fanned out over a
-pluggable :class:`Backend` with deterministic result ordering, with an
-optional persistent :class:`~repro.harness.cache.ResultCache` so repeated
-runs skip already-simulated points.
+a grid as a declarative list of :class:`SweepPoint`\\ s, in-process or
+on a ``multiprocessing`` pool (``jobs > 1``), with deterministic result
+ordering and an optional persistent
+:class:`~repro.harness.cache.ResultCache` so repeated runs skip
+already-simulated points.
 
-Backends (``backend=`` on :class:`SweepExecutor`, ``--backend`` on the
-CLI):
-
-* ``serial`` — in-process loop; the default for ``jobs <= 1``;
-* ``process`` — a ``multiprocessing`` pool (fork where available); the
-  default for ``jobs > 1``;
-* ``remote`` — shard chunks over ``repro worker serve`` daemons on other
-  machines (:mod:`repro.harness.remote`; needs ``workers=`` /
-  ``--workers``).
-
-Work is submitted in chunks (``chunk_size=``, auto-sized by default) and
-every worker failure is attributed to the point that died: the raised
+Every worker failure is attributed to the point that died: the raised
 :class:`SweepPointError` carries ``SweepPoint.describe()`` and the worker
 traceback instead of an anonymous pool stack. With ``on_error="continue"``
 the executor runs past failures and returns a :class:`PointFailure` in the
@@ -29,8 +19,8 @@ live objects so they pickle cheaply; each worker rebuilds the benchmark and
 dataset locally (dataset construction is seeded, hence deterministic) and
 memoizes them across the points it serves. The simulator itself is
 single-threaded and deterministic, so a parallel sweep returns RunResults
-identical to a serial one — the test suite enforces this across every
-backend.
+identical to a serial one — the test suite enforces this for ``jobs=1``
+against ``jobs=2``.
 """
 
 import multiprocessing
@@ -50,7 +40,7 @@ from .variants import TuningParams, mask_params
 
 __all__ = [
     "SweepPoint", "SweepExecutor", "SweepStats", "SweepPointError",
-    "PointFailure", "Backend", "BACKENDS", "run_sweep", "sweep_grid",
+    "PointFailure", "sweep_grid",
 ]
 
 
@@ -66,8 +56,7 @@ class SweepPoint:
     scale: float = 0.25
 
     def spec(self):
-        """Canonical JSON-able description (the cache key input and the
-        remote backend's wire form; invert with :meth:`from_spec`)."""
+        """Canonical JSON-able description (the cache key input)."""
         return {
             "benchmark": self.benchmark,
             "dataset": self.dataset,
@@ -76,21 +65,6 @@ class SweepPoint:
             "device_config": asdict(self.device_config),
             "scale": repr(float(self.scale)),
         }
-
-    @classmethod
-    def from_spec(cls, spec):
-        """Rebuild a point from a :meth:`spec` payload (exact roundtrip).
-
-        >>> point = SweepPoint("BFS", "KRON", "CDP+T",
-        ...                    TuningParams(threshold=16))
-        >>> SweepPoint.from_spec(point.spec()) == point
-        True
-        """
-        return cls(benchmark=spec["benchmark"], dataset=spec["dataset"],
-                   label=spec["label"],
-                   params=TuningParams(**spec["params"]),
-                   device_config=DeviceConfig(**spec["device_config"]),
-                   scale=float(spec["scale"]))
 
     def describe(self):
         """Human-readable one-liner used in failure attribution.
@@ -227,133 +201,6 @@ def _safe_worker(point):
                 traceback.format_exc())
 
 
-def _pool_context():
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn")
-
-
-# -- backends -----------------------------------------------------------------
-
-def _auto_chunk(n_items, jobs):
-    """Chunk size balancing dispatch overhead against load balance: about
-    four chunks per worker, capped so small grids still spread out."""
-    return max(1, min(32, n_items // max(1, jobs * 4) or 1))
-
-
-class Backend:
-    """Strategy for executing a batch of cache-miss points.
-
-    ``map`` takes SweepPoints and returns one outcome tuple per point, in
-    input order: ``("ok", RunResult, sim_seconds)`` or
-    ``("error", type_name, message, traceback)`` (the :func:`_safe_worker`
-    encoding). Pools are created lazily on the first batch and reused
-    across batches until :meth:`close`.
-    """
-
-    name = None
-
-    def __init__(self, jobs=1, chunk_size=None):
-        self.jobs = max(1, int(jobs))
-        self.chunk_size = chunk_size
-
-    def _chunk(self, n_items):
-        if self.chunk_size is not None:
-            return max(1, int(self.chunk_size))
-        return _auto_chunk(n_items, self.jobs)
-
-    def map(self, points):
-        raise NotImplementedError
-
-    def close(self):
-        pass
-
-
-class SerialBackend(Backend):
-    """In-process loop; no pool, no pickling, deterministic by construction."""
-
-    name = "serial"
-
-    def map(self, points):
-        return [_safe_worker(point) for point in points]
-
-
-class ProcessBackend(Backend):
-    """``multiprocessing.Pool`` with chunked submission (PR 1's pool)."""
-
-    name = "process"
-
-    def __init__(self, jobs=1, chunk_size=None):
-        super().__init__(jobs, chunk_size)
-        self._pool = None
-
-    def map(self, points):
-        if self.jobs <= 1 or len(points) <= 1:
-            return [_safe_worker(point) for point in points]
-        if self._pool is None:
-            self._pool = _pool_context().Pool(self.jobs)
-        return self._pool.map(_safe_worker, points,
-                              chunksize=self._chunk(len(points)))
-
-    def close(self):
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
-
-
-#: Registry of backend names; ``repro.harness.remote`` adds ``remote`` when
-#: it is imported (the ``repro.harness`` package always imports it).
-BACKENDS = {cls.name: cls for cls in (SerialBackend, ProcessBackend)}
-
-
-def make_backend(backend, jobs=1, chunk_size=None, workers=None,
-                 worker_timeout=None):
-    """Resolve a backend name (or pass through an instance).
-
-    *workers* (host:port addresses) selects and configures the ``remote``
-    backend, and *worker_timeout* bounds its per-chunk wait; giving
-    either together with a different explicit *backend* name is an
-    error. With ``backend=None`` the default is ``serial`` for
-    ``jobs <= 1``, ``process`` otherwise, and ``remote`` whenever
-    *workers* is set.
-    """
-    if isinstance(backend, Backend):
-        if workers or worker_timeout is not None:
-            raise ValueError("workers/worker_timeout only apply when the "
-                             "backend is given by name; configure the "
-                             "%s instance directly instead"
-                             % type(backend).__name__)
-        return backend
-    if backend is None:
-        if workers:
-            backend = "remote"
-        else:
-            backend = "serial" if jobs <= 1 else "process"
-    try:
-        cls = BACKENDS[backend]
-    except KeyError:
-        raise ValueError("unknown sweep backend %r (have %s)"
-                         % (backend, ", ".join(sorted(BACKENDS))))
-    if backend == "remote":
-        if not workers:
-            raise ValueError("the remote backend needs worker addresses "
-                             "(workers=[...] / --workers HOST:PORT,...); "
-                             "start daemons with 'repro worker serve'")
-        if jobs > 1:
-            raise ValueError("jobs only applies to the local pool "
-                             "backends; remote parallelism is one chunk "
-                             "per worker, and worker-side parallelism is "
-                             "set by 'repro worker serve --jobs'")
-        kwargs = {} if worker_timeout is None else {"timeout": worker_timeout}
-        return cls(workers, chunk_size=chunk_size, **kwargs)
-    if workers or worker_timeout is not None:
-        raise ValueError("worker addresses/timeouts only apply to the "
-                         "remote backend (--backend remote), not %r"
-                         % (backend,))
-    return cls(jobs=jobs, chunk_size=chunk_size)
-
-
 # -- the executor -------------------------------------------------------------
 
 #: Point outcomes across every executor in the process (cache hit /
@@ -362,14 +209,12 @@ _POINTS_TOTAL = REGISTRY.counter(
     "repro_sweep_points_total",
     "Sweep points resolved by an executor, by outcome", ("outcome",))
 _BATCHES_TOTAL = REGISTRY.counter(
-    "repro_sweep_batches_total",
-    "Miss batches dispatched to a sweep backend", ("backend",))
+    "repro_sweep_batches_total", "Miss batches dispatched by an executor")
 _POINT_SECONDS = REGISTRY.histogram(
     "repro_sweep_point_seconds",
-    "Simulation wall time of each successfully simulated point, by "
-    "backend (measured where the point ran, so pooled and remote points "
-    "report their own time, not a share of the batch)",
-    ("backend",))
+    "Simulation wall time of each successfully simulated point (measured "
+    "where the point ran, so pooled points report their own time, not a "
+    "share of the batch)")
 
 
 @dataclass
@@ -395,23 +240,27 @@ class SweepStats:
         return asdict(self)
 
 
+def _check_on_error(on_error):
+    if on_error not in ("raise", "continue"):
+        raise ValueError("on_error must be 'raise' or 'continue', "
+                         "not %r" % (on_error,))
+
+
 class SweepExecutor:
-    """Runs SweepPoints — optionally in parallel, optionally cached.
+    """Runs SweepPoints — in-process or on a process pool, optionally cached.
 
-    ``run`` resolves cache hits first, dispatches only the misses to the
-    configured :class:`Backend`, stores fresh results back, and returns
-    results in the exact order of the input points. A fully-warm run never
-    touches the simulator or spawns a pool.
+    ``run`` resolves cache hits first, simulates only the misses, stores
+    fresh results back, and returns results in the exact order of the
+    input points. A fully-warm run never touches the simulator or spawns
+    a pool.
 
-    ``backend`` is a name from :data:`BACKENDS` (``serial``, ``process``,
-    ``remote``) or an instance; unset, it is
-    ``serial`` for ``jobs <= 1``, ``process`` otherwise, and ``remote``
-    when ``workers=`` (host:port worker-daemon addresses) is given.
-    Pool-backed backends are created lazily on the first miss batch and
-    reused across ``run`` calls, so multi-grid drivers (figures, tuners)
-    keep their workers — and the workers' dataset memos — alive. Call
-    :meth:`close` (or use the executor as a context manager) to release
-    the workers early; otherwise they end with the process.
+    A miss batch runs in-process when ``jobs <= 1`` or it holds one
+    point, and otherwise on a ``multiprocessing`` pool of *jobs* workers
+    (fork where available). The pool is created on the first such batch
+    and reused across ``run`` calls, so multi-grid drivers (figures,
+    tuners) keep their workers — and the workers' dataset memos — alive.
+    Call :meth:`close` (or use the executor as a context manager) to
+    release it early; otherwise it ends with the process.
 
     A worker failure raises :class:`SweepPointError` naming the point that
     died (``on_error="raise"``, the default); ``on_error="continue"`` runs
@@ -419,32 +268,38 @@ class SweepExecutor:
     failed point's slot instead. Failed points are never cached.
     """
 
-    def __init__(self, jobs=1, cache=None, backend=None, chunk_size=None,
-                 on_error="raise", workers=None, worker_timeout=None):
+    def __init__(self, jobs=1, cache=None, on_error="raise"):
         if isinstance(cache, (str, os.PathLike)):
             cache = ResultCache(cache)
-        if on_error not in ("raise", "continue"):
-            raise ValueError("on_error must be 'raise' or 'continue', "
-                             "not %r" % (on_error,))
+        _check_on_error(on_error)
         self.jobs = max(1, int(jobs))
         self.cache = cache
-        self.backend = make_backend(backend, jobs=self.jobs,
-                                    chunk_size=chunk_size, workers=workers,
-                                    worker_timeout=worker_timeout)
         self.on_error = on_error
         self.stats = SweepStats()
+        self._pool = None
+
+    def _simulate(self, points):
+        """One :func:`_safe_worker` outcome per point, in input order."""
+        if self.jobs <= 1 or len(points) <= 1:
+            return [_safe_worker(point) for point in points]
+        if self._pool is None:
+            methods = multiprocessing.get_all_start_methods()
+            self._pool = multiprocessing.get_context(
+                "fork" if "fork" in methods else "spawn").Pool(self.jobs)
+        # About four chunks per worker, capped so small grids still
+        # spread out.
+        chunk = min(32, len(points) // (self.jobs * 4) or 1)
+        return self._pool.map(_safe_worker, points, chunksize=chunk)
 
     def run(self, points, on_error=None):
         """Execute *points*; returns their results in input order.
 
-        Cache hits are resolved first; only misses reach the backend.
+        Cache hits are resolved first; only misses are simulated.
         *on_error* overrides the executor default for this call (see the
         class docstring for the ``raise``/``continue`` contract).
         """
         on_error = self.on_error if on_error is None else on_error
-        if on_error not in ("raise", "continue"):
-            raise ValueError("on_error must be 'raise' or 'continue', "
-                             "not %r" % (on_error,))
+        _check_on_error(on_error)
         points = list(points)
         self.stats.points += len(points)
         results = [None] * len(points)
@@ -460,8 +315,8 @@ class SweepExecutor:
         if hits:
             _POINTS_TOTAL.inc(hits, outcome="hit")
         if misses:
-            outcomes = self.backend.map([points[index] for index in misses])
-            _BATCHES_TOTAL.inc(backend=self.backend.name)
+            outcomes = self._simulate([points[index] for index in misses])
+            _BATCHES_TOTAL.inc()
             first_error = None
             # Store every success (and cache it) before raising, so a
             # single failed point does not throw away the rest of the
@@ -473,9 +328,7 @@ class SweepExecutor:
                     results[index] = result
                     self.stats.simulated += 1
                     _POINTS_TOTAL.inc(outcome="simulated")
-                    if sim_cost is not None:    # a remote worker's null
-                        _POINT_SECONDS.observe(sim_cost,
-                                               backend=self.backend.name)
+                    _POINT_SECONDS.observe(sim_cost)
                     if self.cache is not None:
                         self.cache.put(point, result, sim_cost=sim_cost)
                 else:
@@ -495,38 +348,14 @@ class SweepExecutor:
         return self.run([point], on_error=on_error)[0]
 
     def close(self):
-        """Release the backend's pool/connections (idempotent)."""
-        self.backend.close()
+        """Release the pool, if one was created (idempotent)."""
+        if self._pool is not None:
+            self._pool.close()
+            self._pool.join()
+            self._pool = None
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc_info):
         self.close()
-
-
-def run_sweep(points, jobs=1, cache_dir=None, backend=None,
-              on_error="raise", workers=None, worker_timeout=None):
-    """Convenience wrapper: execute *points* and return
-    ``(results, stats)``.
-
-    :param points: iterable of :class:`SweepPoint`.
-    :param jobs: worker count for the pool backends.
-    :param cache_dir: optional persistent result-cache directory.
-    :param backend: a :data:`BACKENDS` name or :class:`Backend` instance.
-    :param on_error: ``"raise"`` (default) or ``"continue"``; see
-        :class:`SweepExecutor`.
-    :param workers: remote worker addresses (selects the ``remote``
-        backend).
-    :param worker_timeout: seconds to wait for one remote chunk before
-        declaring its worker dead (remote backend only).
-    :returns: ``(results, stats)`` — results in input order (a
-        :class:`~repro.harness.runner.RunResult` or, under
-        ``"continue"``, a :class:`PointFailure` per point) and the
-        executor's :class:`SweepStats`.
-    """
-    cache = ResultCache(cache_dir) if cache_dir else None
-    with SweepExecutor(jobs=jobs, cache=cache, backend=backend,
-                       on_error=on_error, workers=workers,
-                       worker_timeout=worker_timeout) as executor:
-        return executor.run(points), executor.stats

@@ -100,6 +100,29 @@ def _param_grid(thresholds, cfactors, granularities, groups):
     return grid
 
 
+def _evaluate_grid(bench, data, label, grid, device_config=None,
+                   executor=None, scale=None, check_against=None):
+    """Total times for *grid*, in order: through the sweep engine when
+    *executor* and the dataset *scale* are both given, else in-process
+    with every point checked against *check_against* (if given).
+
+    The tuners have no representation for a failed point, so the engine
+    path forces failures to raise (with attribution) whatever the
+    executor's default ``on_error`` is.
+    """
+    if executor is not None and scale is not None:
+        from .sweep import SweepPoint
+        device_config = device_config or DeviceConfig()
+        dataset_name = getattr(data, "name", "?")
+        points = [SweepPoint(bench.name, dataset_name, label, params,
+                             device_config, scale) for params in grid]
+        return [result.total_time
+                for result in executor.run(points, on_error="raise")]
+    return [run_variant(bench, data, label, params, device_config,
+                        check_against=check_against).total_time
+            for params in grid]
+
+
 def tune(bench, data, label, strategy="guided", device_config=None,
          check_against=None, uncapped=False, executor=None, scale=None):
     """Search the parameter space for one variant.
@@ -117,8 +140,7 @@ def tune(bench, data, label, strategy="guided", device_config=None,
     :param executor: optional
         :class:`~repro.harness.sweep.SweepExecutor`; together with the
         dataset *scale* it fans the whole grid out through the sweep
-        engine — parallel, cacheable, and shardable across remote
-        workers. Failures always raise
+        engine — parallel and cacheable. Failures always raise
         :class:`~repro.harness.sweep.SweepPointError` here (the tuner
         has no representation for a failed point), regardless of the
         executor's ``on_error``.
@@ -129,24 +151,9 @@ def tune(bench, data, label, strategy="guided", device_config=None,
     thresholds, cfactors, granularities, groups = _spaces(
         bench, data, label, strategy, klap_mode, uncapped)
     grid = _param_grid(thresholds, cfactors, granularities, groups)
-    if executor is not None and scale is not None:
-        from .sweep import SweepPoint
-        device_config = device_config or DeviceConfig()
-        dataset_name = getattr(data, "name", "?")
-        points = [SweepPoint(bench.name, dataset_name, label, params,
-                             device_config, scale) for params in grid]
-        # The tuner has no representation for a failed point, so force
-        # failures to raise (with attribution) whatever the executor's
-        # default on_error is.
-        results = executor.run(points, on_error="raise")
-        evaluated = [(params, result.total_time)
-                     for params, result in zip(grid, results)]
-    else:
-        evaluated = []
-        for params in grid:
-            result = run_variant(bench, data, label, params, device_config,
-                                 check_against=check_against)
-            evaluated.append((params, result.total_time))
+    evaluated = list(zip(grid, _evaluate_grid(
+        bench, data, label, grid, device_config, executor, scale,
+        check_against)))
     best = None
     best_time = None
     for params, total_time in evaluated:

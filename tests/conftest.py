@@ -1,7 +1,5 @@
-"""Shared fixtures: canonical kernel sources, small datasets, and the
-in-process remote worker fleet; the hypothesis profiles."""
-
-import contextlib
+"""Shared fixtures: canonical kernel sources and small datasets; the
+hypothesis profiles."""
 
 import pytest
 from hypothesis import settings
@@ -88,20 +86,3 @@ def tiny_graph():
 def skewed_graph():
     from repro.datasets import kron_graph
     return kron_graph(scale=7, edge_factor=6, seed=3)
-
-
-@contextlib.contextmanager
-def worker_fleet(count=2, **kwargs):
-    """Start *count* in-process `repro worker` daemons; yields the
-    WorkerServer objects and closes them on exit. Shared by the remote
-    backend, sweep, and CLI test suites."""
-    from repro.harness import WorkerServer
-
-    servers = [WorkerServer(quiet=True, **kwargs) for _ in range(count)]
-    for server in servers:
-        server.start()
-    try:
-        yield servers
-    finally:
-        for server in servers:
-            server.close()

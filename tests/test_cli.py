@@ -112,106 +112,21 @@ class TestSweepCommand:
         assert "unknown variant" in capsys.readouterr().err
 
 
-class TestSweepBackendFlag:
-    @pytest.mark.parametrize("backend", ("serial", "process"))
-    def test_backend_selected(self, backend, capsys):
-        args = ["sweep", "--pairs", "BFS:KRON", "--variants", "CDP",
-                "--scale", "0.08", "--no-cache", "--jobs", "2",
-                "--backend", backend]
-        assert main(args) == 0
-        err = capsys.readouterr().err
-        assert "backend=%s" % backend in err
+class TestSweepJobs:
+    ARGS = ["sweep", "--pairs", "BFS:KRON", "--variants", "CDP", "CDP+T",
+            "--threshold", "16", "--scale", "0.08", "--no-cache", "--json"]
 
-    def test_backends_bit_identical(self, capsys):
-        args = ["sweep", "--pairs", "BFS:KRON", "--variants", "CDP", "CDP+T",
-                "--threshold", "16", "--scale", "0.08", "--no-cache",
-                "--json"]
+    @pytest.mark.parametrize("jobs", ("1", "2"))
+    def test_summary_reports_jobs(self, jobs, capsys):
+        assert main(self.ARGS + ["--jobs", jobs]) == 0
+        assert "(jobs=%s, " % jobs in capsys.readouterr().err
+
+    def test_jobs_bit_identical(self, capsys):
         outputs = set()
-        for backend in ("serial", "process"):
-            assert main(args + ["--jobs", "2", "--backend", backend]) == 0
+        for jobs in ("1", "2"):
+            assert main(self.ARGS + ["--jobs", jobs]) == 0
             outputs.add(capsys.readouterr().out)
         assert len(outputs) == 1
-
-    def test_backend_alone_forces_executor(self, capsys):
-        # --backend without --jobs/--cache-dir must still route through
-        # the sweep engine on `figure` (serial executor, no cache).
-        assert main(["figure", "fig11", "--benchmark", "BFS",
-                     "--dataset", "KRON", "--scale", "0.08", "--no-cache",
-                     "--backend", "serial"]) == 0
-        assert "Figure 11" in capsys.readouterr().out
-
-
-class TestWorkerCommand:
-    SWEEP = ["sweep", "--pairs", "BFS:KRON", "--variants", "CDP", "CDP+T",
-             "--threshold", "16", "--scale", "0.08", "--no-cache", "--json"]
-
-    @pytest.fixture
-    def fleet(self):
-        from .conftest import worker_fleet
-
-        with worker_fleet() as servers:
-            yield ",".join("%s:%d" % server.address for server in servers)
-
-    def test_ping(self, fleet, capsys):
-        address = fleet.split(",")[0]
-        assert main(["worker", "ping", address]) == 0
-        out = capsys.readouterr().out
-        from repro.harness.remote import PROTOCOL_VERSION
-        assert "alive" in out and "protocol %d" % PROTOCOL_VERSION in out
-
-    def test_ping_unreachable(self, capsys):
-        assert main(["worker", "ping", "127.0.0.1:1"]) == 1
-        assert "unreachable" in capsys.readouterr().err
-
-    def test_ping_bad_address(self, capsys):
-        assert main(["worker", "ping", "nocolon"]) == 2
-
-    def test_ping_rejects_multiple_addresses(self, capsys):
-        assert main(["worker", "ping", "127.0.0.1:1,127.0.0.1:2"]) == 2
-        assert "exactly one HOST:PORT" in capsys.readouterr().err
-
-    def test_ping_reports_version_skew_not_unreachable(self, capsys):
-        from repro.harness import WorkerServer
-
-        server = WorkerServer(quiet=True, cache_version=-1)
-        address = "%s:%d" % server.start()
-        try:
-            assert main(["worker", "ping", address]) == 1
-            err = capsys.readouterr().err
-            assert "rejected handshake" in err
-            assert "unreachable" not in err
-        finally:
-            server.close()
-
-    def test_worker_timeout_without_remote_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["figure", "fig11", "--benchmark", "BFS",
-                  "--dataset", "KRON", "--scale", "0.08",
-                  "--worker-timeout", "5"])
-        assert "remote" in capsys.readouterr().err
-
-    def test_remote_sweep_matches_serial(self, fleet, capsys):
-        assert main(self.SWEEP + ["--backend", "serial"]) == 0
-        serial = capsys.readouterr()
-        assert main(self.SWEEP + ["--backend", "remote",
-                                  "--workers", fleet]) == 0
-        remote = capsys.readouterr()
-        assert remote.out == serial.out
-        assert "backend=remote" in remote.err
-
-    def test_workers_flag_alone_implies_remote(self, fleet, capsys):
-        assert main(self.SWEEP + ["--workers", fleet]) == 0
-        assert "backend=remote" in capsys.readouterr().err
-
-    def test_remote_without_workers_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(self.SWEEP + ["--backend", "remote"])
-        assert "--workers" in capsys.readouterr().err
-
-    def test_workers_with_local_backend_rejected(self, fleet, capsys):
-        with pytest.raises(SystemExit):
-            main(self.SWEEP + ["--backend", "process", "--workers", fleet])
-        assert "--backend remote" in capsys.readouterr().err
 
 
 class TestCacheCommand:

@@ -67,10 +67,10 @@ def banned(*args, **kwargs):
 
 
 def ban_executors(monkeypatch, service):
-    """Warm paths may touch no backend: ban the figure executor and
-    every miss worker's."""
+    """Warm paths may simulate nothing: ban the figure executor's and
+    every miss worker's miss batches."""
     for executor in [service.executor] + service.miss_executors:
-        monkeypatch.setattr(executor.backend, "map", banned)
+        monkeypatch.setattr(executor, "_simulate", banned)
 
 
 @pytest.fixture
@@ -87,7 +87,7 @@ class TestHealthAndRouting:
         assert status == 200
         assert payload["status"] == "ok"
         assert payload["endpoints"] == list(ENDPOINTS)
-        assert payload["backend"] == "serial"
+        assert payload["jobs"] == 1
         assert isinstance(payload["cache_version"], int)
 
     def test_unknown_route_404_lists_endpoints(self, server):
@@ -287,7 +287,7 @@ class TestFigure:
         assert data["benchmark"] == "BFS" and data["dataset"] == "KRON"
         assert data["series"] and data["thresholds"][0] == "none"
         assert cold["provenance"]["version"]
-        assert cold["provenance"]["backend"] == "serial"
+        assert cold["provenance"]["jobs"] == 1
         # Warm fetch: neither the figure builder's direct runs nor the
         # executor may fire — the artifact cache answers alone.
         monkeypatch.setattr(figures_mod, "run_variant", banned)
@@ -358,7 +358,7 @@ class TestCacheInfo:
         assert payload["results"] == {"hits": 1, "misses": 1}
         assert payload["figures"] == {"hits": 0, "misses": 0}
         assert payload["executor"]["simulated"] == 1
-        assert payload["backend"] == "serial"
+        assert payload["jobs"] == 1
         # The scheduler block: one miss scheduled, completed, no joins.
         queue = payload["queue"]
         assert queue["workers"] == 2 and queue["max_pending"] == 64
@@ -598,8 +598,7 @@ class TestMetricsEndpoint:
                        "repro_queue_wait_seconds",
                        "repro_sweep_points_total",
                        "repro_sweep_point_seconds",
-                       "repro_cache_lookups_total",
-                       "repro_remote_workers_alive"):
+                       "repro_cache_lookups_total"):
             assert "# TYPE %s" % series in text, series
         # Every sample line is valid Prometheus text exposition.
         for line in text.splitlines():

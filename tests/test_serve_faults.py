@@ -3,13 +3,12 @@
 The serving tier's failure contract, exercised end to end over HTTP:
 an executor that crashes mid-``/point`` resolves the waiter with a
 structured ``PointFailure`` 500 (never a hang, never a torn response),
-a remote worker killed mid-``/sweep`` surfaces per-point
-``RemoteWorkerError`` entries under the ``on_error="continue"``
-contract, the quota layer's in-flight leases are released on every
-failure path (the cap returns to zero, the tenant is not locked out by
-its own failed requests), and the server still drains cleanly
-afterwards — ``submitted == completed``, nothing queued, nothing
-in flight.
+a simulator that fails every point of a ``/sweep`` surfaces per-point
+error entries under the ``on_error="continue"`` contract, the quota
+layer's in-flight leases are released on every failure path (the cap
+returns to zero, the tenant is not locked out by its own failed
+requests), and the server still drains cleanly afterwards —
+``submitted == completed``, nothing queued, nothing in flight.
 """
 
 import json
@@ -19,7 +18,7 @@ import urllib.request
 
 import pytest
 
-from repro.harness import WorkerServer
+from repro.harness import sweep as sweep_mod
 from repro.harness.quota import ClientQuota, QuotaManager
 from repro.harness.serve import ServeServer
 
@@ -122,46 +121,33 @@ class TestExecutorCrashMidPoint:
         assert server.service.scheduler.stats_dict()["draining"]
 
 
-class TestRemoteWorkerKilledMidSweep:
-    @pytest.fixture
-    def worker(self):
-        worker = WorkerServer(quiet=True)
-        worker.start()
-        yield worker
-        worker.close()
+class TestSimulatorFailsMidSweep:
+    @pytest.fixture(autouse=True)
+    def failing_simulator(self, monkeypatch):
+        monkeypatch.setattr(sweep_mod, "_simulate_point", crash)
 
-    @pytest.fixture
-    def remote_server(self, tmp_path, worker):
-        srv = ServeServer(cache_dir=str(tmp_path / "cache"),
-                          backend="remote", workers=[worker.address],
-                          worker_timeout=5.0, quota=make_quota())
-        srv.start()
-        yield srv
-        srv.close()
-
-    def test_sweep_surfaces_remote_worker_failures(self, remote_server,
-                                                   worker):
+    def test_sweep_surfaces_point_failures(self, server):
         body = {"pairs": ["BFS:KRON", "SSSP:KRON"], "variants": ["CDP+T"],
                 "params": {"threshold": 16}, "scale": float(SCALE)}
-        worker.run_points = crash        # the fleet dies mid-request
-        status, payload = fetch(remote_server, "/sweep",
+        status, payload = fetch(server, "/sweep",
                                 {"X-Repro-Client": "alice"}, body)
         assert status == 200             # on_error=continue: per-point
         assert payload["stats"]["failed"] == 2
         for entry in payload["results"]:
             assert entry["status"] == "error"
-            assert entry["error"] == "RemoteWorkerError"
+            assert entry["error"] == "RuntimeError"
+            assert "injected crash" in entry["message"]
             assert entry["point"]["dataset"] == "KRON"
 
-    def test_no_lease_leak_and_clean_drain(self, remote_server, worker):
-        worker.run_points = crash
+    def test_no_lease_leak_and_clean_drain(self, server):
         body = {"pairs": ["BFS:KRON"], "variants": ["CDP", "CDP+T"],
                 "params": {"threshold": 24}, "scale": float(SCALE)}
         alice = {"X-Repro-Client": "alice"}
         for _ in range(3):               # 2 misses each: cap would bite
-            status, payload = fetch(remote_server, "/sweep", alice, body)
+            status, payload = fetch(server, "/sweep", alice, body)
             assert status == 200, payload
-        _, info = fetch(remote_server, "/cache/info")
+            assert payload["stats"]["failed"] == 2
+        _, info = fetch(server, "/cache/info")
         assert info["quota"]["clients"]["alice"]["inflight"] == 0
         queue = info["queue"]
         assert queue["submitted"] == queue["completed"]

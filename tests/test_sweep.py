@@ -1,4 +1,4 @@
-"""Sweep engine tests: serial/parallel equivalence across every backend,
+"""Sweep engine tests: in-process/pool equivalence, the pool's lifecycle,
 per-point error attribution, cache behavior, corruption recovery, and
 executor-routed tuning."""
 
@@ -11,13 +11,11 @@ import threading
 import pytest
 
 from repro.benchmarks import get_benchmark
-from repro.harness import (BACKENDS, PointFailure, ResultCache, RunResult,
+from repro.harness import (PointFailure, ResultCache, RunResult,
                            SweepExecutor, SweepPoint, SweepPointError,
                            TuningParams, figure11, figure12, point_key,
-                           quick_tune, run_sweep, run_variant, sweep_grid,
-                           tune)
+                           quick_tune, run_variant, sweep_grid, tune)
 
-from . import conftest
 from repro.harness import figures as figures_mod
 from repro.harness import sweep as sweep_mod
 from repro.sim.config import DeviceConfig
@@ -39,26 +37,15 @@ def serial_results():
     return SweepExecutor(jobs=1).run(small_grid())
 
 
-@pytest.fixture(name="worker_fleet", scope="module")
-def worker_fleet_fixture():
-    """Two in-process worker daemons backing the ``remote`` backend."""
-    with conftest.worker_fleet() as servers:
-        yield [server.address for server in servers]
-
-
-def make_executor(backend, worker_fleet, jobs=3, **kwargs):
-    """SweepExecutor on *backend*; the remote one gets the test fleet
-    (remote rejects jobs>1 — its parallelism is one chunk per worker)."""
-    if backend == "remote":
-        return SweepExecutor(backend=backend, workers=worker_fleet,
-                             **kwargs)
-    return SweepExecutor(jobs=jobs, backend=backend, **kwargs)
+def new_children(before):
+    """Child processes started since *before* was taken."""
+    return set(multiprocessing.active_children()) - before
 
 
 class TestSerialParallelEquivalence:
     def test_parallel_results_identical(self, serial_results):
-        parallel = SweepExecutor(jobs=3).run(small_grid())
-        assert parallel == serial_results
+        with SweepExecutor(jobs=2) as executor:
+            assert executor.run(small_grid()) == serial_results
 
     def test_matches_direct_run_variant(self, serial_results):
         point = small_grid()[2]     # BFS/KRON CDP+T+C+A
@@ -72,21 +59,10 @@ class TestSerialParallelEquivalence:
         labels = [(r.benchmark, r.label) for r in serial_results]
         assert labels == [(b, l) for b, _ in PAIRS for l in LABELS]
 
-    def test_run_sweep_convenience(self, serial_results, tmp_path):
-        results, stats = run_sweep(small_grid(), jobs=2,
-                                   cache_dir=str(tmp_path / "cache"))
-        assert results == serial_results
-        assert stats.simulated == len(serial_results)
 
-
-class TestBackends:
-    def test_default_backend_tracks_jobs(self):
-        assert SweepExecutor(jobs=1).backend.name == "serial"
-        assert SweepExecutor(jobs=4).backend.name == "process"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown sweep backend"):
-            SweepExecutor(jobs=2, backend="quantum")
+class TestPoolLifecycle:
+    """With ``jobs=2`` a pool serves multi-point miss batches only; one
+    pool per executor, kept until ``close()``."""
 
     def test_bad_on_error_rejected(self):
         with pytest.raises(ValueError, match="on_error"):
@@ -94,21 +70,39 @@ class TestBackends:
         with pytest.raises(ValueError, match="on_error"):
             SweepExecutor().run([], on_error="Raise")
 
-    @pytest.mark.parametrize("backend", sorted(BACKENDS))
-    def test_backend_parity(self, serial_results, backend, worker_fleet):
-        with make_executor(backend, worker_fleet) as executor:
-            assert executor.backend.name == backend
-            assert executor.run(small_grid()) == serial_results
+    def test_one_point_batch_runs_in_process(self, serial_results):
+        before = set(multiprocessing.active_children())
+        with SweepExecutor(jobs=2) as executor:
+            assert executor.run(small_grid()[:1]) == serial_results[:1]
+            assert not new_children(before)
 
-    def test_chunked_submission_preserves_order(self, serial_results):
-        with SweepExecutor(jobs=2, backend="process",
-                           chunk_size=2) as executor:
-            assert executor.run(small_grid()) == serial_results
+    def test_pool_created_once_and_reused(self, serial_results):
+        before = set(multiprocessing.active_children())
+        with SweepExecutor(jobs=2) as executor:
+            assert executor.run(small_grid()[:3]) == serial_results[:3]
+            workers = new_children(before)
+            assert len(workers) == 2
+            assert executor.run(small_grid()[3:]) == serial_results[3:]
+            assert new_children(before) == workers
 
-    def test_run_sweep_accepts_backend(self, serial_results):
-        results, stats = run_sweep(small_grid(), jobs=2, backend="process")
-        assert results == serial_results
-        assert stats.simulated == len(serial_results)
+    def test_close_releases_pool_and_is_idempotent(self):
+        before = set(multiprocessing.active_children())
+        executor = SweepExecutor(jobs=2)
+        executor.run(small_grid()[:2])
+        assert len(new_children(before)) == 2
+        executor.close()
+        assert not new_children(before)
+        executor.close()
+        assert not new_children(before)
+
+    def test_run_after_close_matches_serial(self, serial_results):
+        executor = SweepExecutor(jobs=2)
+        executor.run(small_grid()[:2])
+        executor.close()
+        try:
+            assert executor.run(small_grid()) == serial_results
+        finally:
+            executor.close()
 
 
 _REAL_SIMULATE = sweep_mod._simulate_point
@@ -122,16 +116,16 @@ def _fail_cdp(point):
 
 
 class TestErrorAttribution:
-    @pytest.mark.parametrize("backend", (
-        "serial",
+    @pytest.mark.parametrize("jobs", (
+        pytest.param(1, id="serial"),
         # Pool workers only see the monkeypatched simulator via fork.
-        pytest.param("process", marks=pytest.mark.skipif(
+        pytest.param(2, id="process", marks=pytest.mark.skipif(
             "fork" not in multiprocessing.get_all_start_methods(),
             reason="needs fork to inherit the patched simulator")),
     ))
-    def test_failure_names_the_point(self, monkeypatch, backend):
+    def test_failure_names_the_point(self, monkeypatch, jobs):
         monkeypatch.setattr(sweep_mod, "_simulate_point", _fail_cdp)
-        with SweepExecutor(jobs=2, backend=backend) as executor:
+        with SweepExecutor(jobs=jobs) as executor:
             with pytest.raises(SweepPointError) as exc_info:
                 executor.run(small_grid())
         error = exc_info.value
@@ -248,9 +242,10 @@ class TestErrorAttribution:
         assert healed.stats.failed == 0
 
 
-class TestFigureParityAcrossBackends:
-    """figure11/figure12 on a tiny grid: every backend must reproduce the
-    serial figures bit-for-bit."""
+class TestFigureParity:
+    """figure11/figure12 on a tiny grid: the executor, in-process
+    (``jobs=1``) or on a pool (``jobs=2``), must reproduce the
+    executor-free figures bit-for-bit."""
 
     TINY = 0.05
 
@@ -265,17 +260,17 @@ class TestFigureParityAcrossBackends:
         yield figure12(scale=self.TINY)
         patcher.undo()
 
-    @pytest.mark.parametrize("backend", sorted(BACKENDS))
-    def test_figure11_parity(self, fig11_serial, backend, worker_fleet):
-        with make_executor(backend, worker_fleet, jobs=2) as executor:
+    @pytest.mark.parametrize("jobs", (1, 2), ids=("serial", "process"))
+    def test_figure11_parity(self, fig11_serial, jobs):
+        with SweepExecutor(jobs=jobs) as executor:
             fig = figure11("BFS", "KRON", scale=self.TINY,
                            executor=executor)
         assert fig.series == fig11_serial.series
         assert fig.thresholds == fig11_serial.thresholds
 
-    @pytest.mark.parametrize("backend", sorted(BACKENDS))
-    def test_figure12_parity(self, fig12_tiny, backend, worker_fleet):
-        with make_executor(backend, worker_fleet, jobs=2) as executor:
+    @pytest.mark.parametrize("jobs", (1, 2), ids=("serial", "process"))
+    def test_figure12_parity(self, fig12_tiny, jobs):
+        with SweepExecutor(jobs=jobs) as executor:
             fig = figure12(scale=self.TINY, executor=executor)
         assert fig.speedups == fig12_tiny.speedups
         assert fig.best_params == fig12_tiny.best_params
@@ -364,13 +359,13 @@ class TestResultCache:
         cache = ResultCache(str(tmp_path / "cache"))
         points = small_grid()[:2]
         # The registry is process-global, so assert deltas, not totals.
-        count0 = histogram.count(backend="serial")
-        sum0 = histogram.sum(backend="serial")
+        count0 = histogram.count()
+        sum0 = histogram.sum()
         SweepExecutor(jobs=1, cache=cache).run(points)
         costs = [cache.index.get(point_key(point))["sim_cost_seconds"]
                  for point in points]
-        assert histogram.count(backend="serial") == count0 + 2
-        assert histogram.sum(backend="serial") - sum0 \
+        assert histogram.count() == count0 + 2
+        assert histogram.sum() - sum0 \
             == pytest.approx(sum(costs), rel=1e-9)
 
     def test_result_roundtrip_is_exact(self, serial_results):
