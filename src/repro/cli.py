@@ -11,7 +11,8 @@ Usage::
     python -m repro transform kernel.cu --threshold 128 --coarsen 8 \\
         --aggregate multiblock -o kernel_opt.cu
     python -m repro analyze kernel.cu
-    python -m repro bench BFS KRON --variant CDP+T+C+A --threshold 32
+    python -m repro bench BFS KRON --variant CDP+T+C+A --threshold 32 \\
+        --coarsen 8 --aggregate block
     python -m repro figure fig9 --scale 0.25
     python -m repro sweep --pairs BFS:KRON SSSP:KRON --variants CDP CDP+T \\
         --threshold 32 --jobs 4 --cache-dir .repro-cache
@@ -34,7 +35,8 @@ from .errors import ReproError
 from .harness import (VARIANT_LABELS, FigureArtifactCache,
                       PointFailure, ResultCache, SweepExecutor, TuningParams,
                       figure9, figure10, figure11, figure12,
-                      fixed_threshold_study, run_variant, sweep_grid, table1)
+                      fixed_threshold_study, require_params, run_variant,
+                      sweep_grid, table1)
 from .minicuda import parse
 from .minicuda.printer import print_expr
 from .transforms import GRANULARITIES, OptConfig, transform
@@ -119,11 +121,16 @@ def cmd_analyze(args):
 
 def cmd_bench(args):
     bench = get_benchmark(args.benchmark)
-    data = bench.build_dataset(args.dataset, args.scale)
     params = TuningParams(threshold=args.threshold,
                           coarsen_factor=args.coarsen,
                           granularity=args.aggregate,
                           group_blocks=args.group_blocks)
+    try:
+        require_params(args.variant, params)
+    except ReproError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    data = bench.build_dataset(args.dataset, args.scale)
     result = run_variant(bench, data, args.variant, params)
     print("%s on %s (%s, params %s)" % (args.variant, bench.name,
                                         args.dataset, params.describe()))
@@ -237,7 +244,12 @@ def cmd_sweep(args):
                           coarsen_factor=args.coarsen,
                           granularity=args.aggregate,
                           group_blocks=args.group_blocks)
-    points = sweep_grid(pairs, args.variants, scale=args.scale, params=params)
+    try:
+        points = sweep_grid(pairs, args.variants, scale=args.scale,
+                            params=params)
+    except ReproError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     started = time.time()
     on_error = "continue" if args.keep_going else "raise"
     with _executor_from(args, force=True, on_error=on_error) as executor:

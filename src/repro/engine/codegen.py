@@ -27,7 +27,19 @@ Calling conventions:
   pointer parameter the kernel indexes and never rebinds is hoisted once
   per block into its list ``a_<p>`` and offset ``o_<p>`` (plus the store
   conversion ``s_<p>`` of :class:`~repro.engine.values.Ptr` if the kernel
-  stores through it), so its loads and stores skip the Ptr;
+  stores through it), so its loads and stores skip the Ptr. The kernel's
+  leading statements tagged ``"disagg"`` (an aggregated child's
+  disaggregation: the binary search and the loads of its parent's
+  arguments) are its *prologue*, which runs once per block, before the
+  thread loop, summing its cycles in ``_pc``: each thread's ``_c`` starts
+  at ``_pc`` and ``_rt.reg_disagg`` grows by ``_pc`` times the block's
+  thread count, so every cost equals running it per thread. The pointers
+  it loads and the thread body indexes without rebinding are hoisted like
+  parameters, and a local of it the thread body rebinds is copied for
+  each thread. The tag is checked: ``CodegenError`` if the prologue reads
+  ``threadIdx``, does anything but bind its own locals (a store, atomic,
+  launch, device-function call, ``printf``, barrier or ``return``), or
+  reads a pointer (or global) the rest of the kernel writes;
 * any other kernel: ``k_<name>(_rt, _bix, _tix, _gdim, _bdim, *params) ->
   cycles`` per thread (generators return cycles via
   ``StopIteration.value``); a 3-D program's functions take ``_bix, _biy,
@@ -81,6 +93,9 @@ _RESERVED_MEMBERS = {
 }
 
 
+#: The calls a block-uniform prologue may make.
+_PURE_CALLS = frozenset(_MATH_FUNCS) | {"dim3"}
+
 #: Block-function locals that stand in for block-invariant reads.
 _BLOCK_LOCALS = {"_bdim.x": "_bdx", "_gdim.x": "_gdx"}
 
@@ -90,49 +105,81 @@ def _mangle(name):
 
 
 class _Facts:
-    """What code generation needs to know about one function, found in one
-    walk of its AST."""
+    """What code generation needs to know about some statements of one
+    function, found in one walk of their AST."""
 
-    def __init__(self, func, function_names):
+    def __init__(self, stmts, function_names):
         self.decls = []           # every VarDecl, in source order
         self.arrays = set()       # names declared as arrays (T buf[n])
         self.has_barrier = False
         self.has_launch = False
         self.calls_device = False
+        self.reads_thread = False  # reads threadIdx
+        self.returns = False
+        self.calls = set()        # names of the functions called
+        self.names = set()        # every identifier
         self.indexed = set()      # names used as p[i], *p or atomic target
         self.stored = set()       # names stored through, atomics included
-        self.rebound = set()      # names assigned, ++/--'d, &'d or declared
-        for node in func.walk():
-            kind = type(node)
-            if kind is ast.Index:
-                if type(node.base) is ast.Ident:
-                    self.indexed.add(node.base.name)
-            elif kind is ast.Unary:
-                operand = node.operand
-                if node.op in ("++", "--"):
-                    self._write(operand)
-                elif type(operand) is ast.Ident:
-                    if node.op == "*":
-                        self.indexed.add(operand.name)
-                    elif node.op == "&":
-                        self.rebound.add(operand.name)
-            elif kind is ast.Assign:
-                self._write(node.target)
-            elif kind is ast.Call and type(node.func) is ast.Ident:
-                name = node.func.name
-                if name in _BARRIER_CALLS:
-                    self.has_barrier = True
-                elif name in function_names:
-                    self.calls_device = True
-                elif name in _ATOMIC_METHODS and node.args:
-                    self._atomic_target(node.args[0])
-            elif kind is ast.VarDecl:
-                self.decls.append(node)
-                self.rebound.add(node.name)
-                if node.array_size is not None:
-                    self.arrays.add(node.name)
-            elif kind is ast.Launch:
-                self.has_launch = True
+        self.rebound = set()      # names assigned, ++/--'d, &'d, declared
+        #                           or given a member store (d.x = ...)
+        for stmt in stmts:
+            for node in stmt.walk():
+                kind = type(node)
+                if kind is ast.Ident:
+                    self.names.add(node.name)
+                elif kind is ast.Index:
+                    if type(node.base) is ast.Ident:
+                        self.indexed.add(node.base.name)
+                elif kind is ast.Unary:
+                    operand = node.operand
+                    if node.op in ("++", "--"):
+                        self._write(operand)
+                    elif type(operand) is ast.Ident:
+                        if node.op == "*":
+                            self.indexed.add(operand.name)
+                        elif node.op == "&":
+                            self.rebound.add(operand.name)
+                elif kind is ast.Assign:
+                    self._write(node.target)
+                elif kind is ast.Call and type(node.func) is ast.Ident:
+                    name = node.func.name
+                    self.calls.add(name)
+                    if name in _BARRIER_CALLS:
+                        self.has_barrier = True
+                    elif name in function_names:
+                        self.calls_device = True
+                    elif name in _ATOMIC_METHODS and node.args:
+                        self._atomic_target(node.args[0])
+                elif kind is ast.Member:
+                    if (type(node.obj) is ast.Ident
+                            and node.obj.name == "threadIdx"):
+                        self.reads_thread = True
+                elif kind is ast.VarDecl:
+                    self.decls.append(node)
+                    self.rebound.add(node.name)
+                    if node.array_size is not None:
+                        self.arrays.add(node.name)
+                elif kind is ast.Launch:
+                    self.has_launch = True
+                elif kind is ast.Return:
+                    self.returns = True
+
+    def union(self, other):
+        """The facts of this part of a function followed by *other*."""
+        joined = _Facts((), ())
+        joined.decls = self.decls + other.decls
+        joined.arrays = self.arrays | other.arrays
+        joined.has_barrier = self.has_barrier or other.has_barrier
+        joined.has_launch = self.has_launch or other.has_launch
+        joined.calls_device = self.calls_device or other.calls_device
+        joined.reads_thread = self.reads_thread or other.reads_thread
+        joined.returns = self.returns or other.returns
+        joined.calls = self.calls | other.calls
+        joined.names = self.names | other.names
+        joined.indexed = self.indexed | other.indexed
+        joined.stored = self.stored | other.stored
+        joined.rebound = self.rebound | other.rebound
+        return joined
 
     def _write(self, target):
         """*target* is assigned to or incremented."""
@@ -143,6 +190,8 @@ class _Facts:
         elif (type(target) is ast.Unary and target.op == "*"
               and type(target.operand) is ast.Ident):
             self.stored.add(target.operand.name)
+        elif type(target) is ast.Member and type(target.obj) is ast.Ident:
+            self.rebound.add(target.obj.name)
 
     def _atomic_target(self, arg):
         """An atomic reads and writes ``*arg``, or ``p[i]`` for ``&p[i]``."""
@@ -156,6 +205,18 @@ class _Facts:
             self.stored.add(arg.name)
 
 
+def _prologue_length(func):
+    """How many leading statements of kernel *func* are tagged
+    ``"disagg"``: an aggregated child's disaggregation prologue."""
+    count = 0
+    if func.is_kernel:
+        for stmt in func.body.stmts:
+            if region_of(stmt) != "disagg":
+                break
+            count += 1
+    return count
+
+
 class FunctionCodegen:
     """Generate Python source for one miniCUDA function."""
 
@@ -165,7 +226,11 @@ class FunctionCodegen:
         self.cm = cost_model
         self.macros = macros
         self.lines = []
-        self.facts = facts = _Facts(func, program_info.functions)
+        stmts = func.body.stmts
+        split = _prologue_length(func)
+        head = _Facts(stmts[:split], program_info.functions)
+        thread = _Facts(stmts[split:], program_info.functions)
+        self.facts = facts = head.union(thread) if split else thread
         self.types = {p.name: p.type for p in func.params}
         for decl in facts.decls:
             self.types[decl.name] = decl.type
@@ -183,9 +248,49 @@ class FunctionCodegen:
             p.name for p in func.params
             if self.fused and p.type.pointers > 0 and p.name in facts.indexed
             and p.name not in facts.rebound}
+        # A block function runs its prologue once per block, before the
+        # thread loop: (its statements, their facts, the thread body's).
+        self.prologue = None
+        if split and self.fused:
+            self._check_prologue(head, thread)
+            self.prologue = (stmts[:split], head, thread)
+        self._uniform = False         # emitting the prologue
         self._loops = []              # per open loop: did a return break it
         self._returns_in_loop = False
         self._block_locals = set()
+
+    def _check_prologue(self, head, thread):
+        """Raise CodegenError unless the prologue (facts *head*) computes
+        the same values for every thread of a block, so running it once
+        per block is the same as running it per thread: it reads no
+        ``threadIdx``, only binds its own locals, and reads no memory the
+        thread body (facts *thread*) writes."""
+        calls = head.calls - _PURE_CALLS
+        foreign = head.rebound - {decl.name for decl in head.decls}
+        written = (head.indexed & thread.stored
+                   | head.names & thread.rebound & self.info.global_scalars)
+        if head.reads_thread:
+            problem = "reads threadIdx"
+        elif head.stored:
+            problem = "stores through %s" % min(head.stored)
+        elif head.has_launch:
+            problem = "launches a kernel"
+        elif calls:
+            problem = "calls %s" % min(calls)
+        elif head.arrays:
+            problem = "declares the array %s" % min(head.arrays)
+        elif head.returns:
+            problem = "returns"
+        elif foreign:
+            problem = "assigns %s, which it does not declare" % min(foreign)
+        elif written:
+            problem = ("reads %s, which the rest of the kernel writes"
+                       % min(written))
+        else:
+            return
+        raise CodegenError(
+            "the disaggregation prologue of %r %s, so it cannot run once "
+            "per block" % (self.func.name, problem))
 
     # -- entry point --------------------------------------------------------
 
@@ -206,15 +311,15 @@ class FunctionCodegen:
         # Sec. VIII-D: the mere presence of a dynamic launch in a kernel
         # makes the compiler emit (and the hardware execute) a large number
         # of extra instructions even when the launch never happens.
-        start = "_c = %d" % (self.cm.cdp_code_tax if self.facts.has_launch
-                             and func.is_kernel else 0)
+        tax = (self.cm.cdp_code_tax if self.facts.has_launch
+               and func.is_kernel else 0)
         if self.fused:
-            return self._generate_block_function(start)
+            return self._generate_block_function(tax)
         params = "".join(", " + _mangle(p.name) for p in func.params)
         prefix = "k_" if func.is_kernel else "f_"
         self._emit(0, "def %s%s(_rt, %s%s):" % (
             prefix, func.name, self._ctx_args, params))
-        self._emit(1, start)
+        self._emit(1, "_c = %d" % tax)
         self._gen_compound(func.body, 1)
         if func.is_kernel:
             self._emit(1, "return _c")
@@ -223,32 +328,32 @@ class FunctionCodegen:
             self._emit(1, "return None")
         return "\n".join(self.lines)
 
-    def _generate_block_function(self, start):
+    def _generate_block_function(self, tax):
         """``b_<name>``: every thread of one block, warp costs inline."""
-        self._emit(3, start)
-        self._gen_compound(self.func.body, 3)
-        self._end_thread(3)
-        thread_body, self.lines = self.lines, []
         # The parameters are shared by the block's threads, so one the
         # kernel rebinds arrives as p_<name> and is copied for each thread.
         rebound = [p.name for p in self.func.params
                    if p.name in self.facts.rebound]
+        copies = ["v_%s = p_%s" % (name, name) for name in rebound]
+        body, start = self.func.body, "_c = %d" % tax
+        if self.prologue is not None:
+            body, start = self._generate_prologue(tax, rebound, copies)
+        uniform, self.lines = self.lines, []
+        self._emit(3, start)
+        self._gen_compound(body, 3)
+        self._end_thread(3)
+        thread_body, self.lines = self.lines, []
         params = "".join(
             ", " + ("p_" if p.name in rebound else "v_") + p.name
             for p in self.func.params)
         self._emit(0, "def b_%s(_rt, _bix, _tixs, _gdim, _bdim%s):" % (
             self.func.name, params))
-        for param in self.func.params:
-            if param.name in self.hoisted:
-                name, var = param.name, _mangle(param.name)
-                self._emit(1, "a_%s = %s.array" % (name, var))
-                self._emit(1, "o_%s = %s.offset" % (name, var))
-                if name in self.facts.stored:
-                    self._emit(1, "s_%s = %s.convert or _identity"
-                               % (name, var))
+        self._emit_hoists(p.name for p in self.func.params
+                          if p.name in self.hoisted)
         for read, local in _BLOCK_LOCALS.items():
             if local in self._block_locals:
                 self._emit(1, "%s = %s" % (local, read))
+        self.lines.extend(uniform)
         self._emit(1, "_mw = _sw = _tot = 0")
         self._emit(1, "for _w in range(0, len(_tixs), 32):")
         self._emit(2, "_pk = 0")
@@ -257,14 +362,57 @@ class FunctionCodegen:
             self._emit(3, "_rt.tc = 0")
         if self._returns_in_loop:
             self._emit(3, "_ret = False")
-        for name in rebound:
-            self._emit(3, "v_%s = p_%s" % (name, name))
+        for copy in copies:
+            self._emit(3, copy)
         self.lines.extend(thread_body)
         self._emit(2, "_sw += _pk")
         self._emit(2, "if _pk > _mw:")
         self._emit(3, "_mw = _pk")
         self._emit(1, "return _mw, _sw, _tot")
         return "\n".join(self.lines)
+
+    def _generate_prologue(self, tax, rebound, copies):
+        """Emit the prologue once per block, summing its cycles in ``_pc``.
+        Every thread then starts at ``_pc`` and ``_rt.reg_disagg`` grows by
+        ``_pc`` per thread, as if each thread had run it. The pointers it
+        loads are hoisted like parameters; a local the thread body rebinds
+        is copied for each thread (onto *copies*). Returns the thread body
+        and its first line."""
+        stmts, head, thread = self.prologue
+        for name in rebound:
+            if name in head.names:
+                self._emit(1, "v_%s = p_%s" % (name, name))
+        self._emit(1, "_pc = 0")
+        self._uniform = True
+        self._gen_compound(ast.Compound(stmts), 1)
+        self._uniform = False
+        decls = {decl.name: decl.type for decl in head.decls}
+        self._emit_hoists(
+            name for name, var_type in decls.items()
+            if var_type.pointers > 0 and name in thread.indexed
+            and name not in thread.rebound)
+        for name, var_type in decls.items():
+            if name in thread.rebound:
+                self._emit(1, "p_%s = v_%s" % (name, name))
+                dim3 = var_type.name == "dim3" and var_type.pointers == 0
+                copies.append(("v_%s = _D3.of(p_%s)" if dim3
+                               else "v_%s = p_%s") % (name, name))
+        self._emit(1, "_rt.reg_disagg += _pc * len(_tixs)")
+        body = ast.Compound(self.func.body.stmts[len(stmts):])
+        return body, "_c = _pc + %d" % tax if tax else "_c = _pc"
+
+    def _emit_hoists(self, names):
+        """Hoist each pointer of *names* once per block into its list
+        ``a_<p>`` and offset ``o_<p>``, plus the store conversion ``s_<p>``
+        if the kernel stores through it."""
+        for name in names:
+            var = _mangle(name)
+            self._emit(1, "a_%s = %s.array" % (name, var))
+            self._emit(1, "o_%s = %s.offset" % (name, var))
+            if name in self.facts.stored:
+                self._emit(1, "s_%s = %s.convert or _identity"
+                           % (name, var))
+            self.hoisted.add(name)
 
     def _end_thread(self, indent):
         """Add the finished thread's cycles to its warp and block."""
@@ -307,6 +455,13 @@ class FunctionCodegen:
 
     def _emit_cost(self, indent, weight, region):
         if weight <= 0:
+            return
+        if self._uniform:
+            if region != "disagg":
+                raise CodegenError(
+                    "the disaggregation prologue of %r holds code not "
+                    "tagged \"disagg\"" % self.func.name)
+            self._emit(indent, "_pc += %d" % weight)
             return
         self._emit(indent, "_c += %d" % weight)
         if region in ("agg", "disagg"):

@@ -24,7 +24,8 @@ from .serve import ENDPOINTS, QueryService, ServeServer
 from .tuning import (FULL_THRESHOLDS, TuneOutcome, threshold_candidates,
                      tune)
 from .variants import (ALL_GRANULARITIES, KLAP_GRANULARITIES, VARIANT_LABELS,
-                       TuningParams, mask_params, uses, variant_to_run)
+                       TuningParams, mask_params, require_params, uses,
+                       variant_to_run)
 
 __all__ = [
     "QuickTuneResult", "hill_climb", "predict_threshold", "quick_tune",
@@ -48,5 +49,6 @@ __all__ = [
     "run_variant",
     "FULL_THRESHOLDS", "TuneOutcome", "threshold_candidates", "tune",
     "ALL_GRANULARITIES", "KLAP_GRANULARITIES", "VARIANT_LABELS",
-    "TuningParams", "mask_params", "uses", "variant_to_run",
+    "TuningParams", "mask_params", "require_params", "uses",
+    "variant_to_run",
 ]

@@ -227,7 +227,9 @@ def point_from_query(query):
     the same effective configuration (e.g. a plain ``CDP`` point with or
     without a stray ``threshold=``) resolve to the same point — and
     therefore the same cache key. Raises :class:`~repro.errors.ServeError`
-    (HTTP 400) on unknown parameters, names, or labels.
+    (HTTP 400) on unknown parameters, names, or labels, and on a label
+    whose optimization has no parameter (``CDP+T`` without
+    ``threshold``).
     """
     unknown = sorted(set(query) - set(_POINT_KEYS))
     if unknown:
@@ -240,7 +242,11 @@ def point_from_query(query):
     benchmark = _validate_pair(query["benchmark"], query["dataset"])
     scale = _parse_float(query.get("scale", "0.25"), "scale")
     tuning = {key: query[key] for key in _PARAM_KEYS if key in query}
-    params = mask_params(label, _params_from(tuning, "/point"))
+    params = _params_from(tuning, "/point")
+    try:
+        params = mask_params(label, params)
+    except ReproError as exc:
+        raise ServeError(str(exc))
     return SweepPoint(benchmark, query["dataset"], label, params,
                       DeviceConfig(), scale)
 
@@ -643,7 +649,10 @@ class QueryService:
         if not isinstance(params_body, dict):
             raise ServeError("'params' must be a JSON object")
         params = _params_from(params_body, "/sweep params")
-        points = sweep_grid(pairs, variants, scale=scale, params=params)
+        try:
+            points = sweep_grid(pairs, variants, scale=scale, params=params)
+        except ReproError as exc:
+            raise ServeError(str(exc))
         results = [None] * len(points)
         miss_indices = []
         for index, point in enumerate(points):

@@ -9,6 +9,7 @@ grid); the ``+A`` of this paper's combinations may also use multi-block.
 from dataclasses import dataclass
 from typing import Optional
 
+from ..errors import ReproError
 from ..transforms import OptConfig
 
 #: Figure 9 / 12 series, in the paper's legend order.
@@ -73,10 +74,33 @@ def uses(label, letter):
     return letter in label.split("+")
 
 
+#: The :class:`TuningParams` field each optimization reads.
+_PARAM_OF = {"T": "threshold", "C": "coarsen_factor", "A": "granularity"}
+
+
+def require_params(label, params):
+    """Raise :class:`~repro.errors.ReproError` if *label* uses an
+    optimization whose parameter *params* leaves unset: without it the
+    point would run without that optimization yet be reported under
+    *label*.
+
+    >>> require_params("CDP+T+A", TuningParams(threshold=16))
+    Traceback (most recent call last):
+    ...
+    repro.errors.ReproError: CDP+T+A uses +A but its params leave granularity unset
+    """
+    for letter, field in _PARAM_OF.items():
+        if uses(label, letter) and getattr(params, field) is None:
+            raise ReproError("%s uses +%s but its params leave %s unset"
+                             % (label, letter, field))
+
+
 def mask_params(label, params):
     """Canonicalize *params* for *label*: null out components the variant
     does not use and pin ``group_blocks`` to the default unless the
-    granularity is multi-block (the only one that reads it).
+    granularity is multi-block (the only one that reads it). Raises
+    :class:`~repro.errors.ReproError` when a component *label* uses is
+    unset (:func:`require_params`).
 
     Grid builders and figure drivers share this so identical *effective*
     configurations always produce identical :class:`TuningParams` — and
@@ -86,6 +110,7 @@ def mask_params(label, params):
     ...                                   coarsen_factor=8)).describe()
     'T=32'
     """
+    require_params(label, params)
     granularity = params.granularity if uses(label, "A") else None
     return TuningParams(
         threshold=params.threshold if uses(label, "T") else None,
@@ -96,18 +121,17 @@ def mask_params(label, params):
 
 
 def variant_to_run(label, params):
-    """Map a series label + params to ('nocdp'|'cdp', OptConfig or None)."""
+    """Map a series label + params to ('nocdp'|'cdp', OptConfig or None).
+    Raises :class:`~repro.errors.ReproError` when a component *label*
+    uses is unset (:func:`require_params`)."""
     if label == "No CDP":
         return "nocdp", None
     if label == "CDP":
         return "cdp", None
-    config = OptConfig(
+    require_params(label, params)
+    return "cdp", OptConfig(
         threshold=params.threshold if uses(label, "T") else None,
         coarsen_factor=params.coarsen_factor if uses(label, "C") else None,
         aggregate=params.granularity if uses(label, "A") else None,
         group_blocks=params.group_blocks,
     )
-    if (config.threshold is None and config.coarsen_factor is None
-            and config.aggregate is None):
-        return "cdp", None
-    return "cdp", config

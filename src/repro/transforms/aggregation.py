@@ -28,7 +28,11 @@ lines 01-11).
 
 Statements inserted by this pass are region-tagged ``"agg"`` (parent side)
 or ``"disagg"`` (child side) so the engine can attribute their cycles for
-the Fig. 10 breakdown.
+the Fig. 10 breakdown. The disaggregation reads only ``blockIdx.x`` and
+buffers the parents wrote, so every thread of a block computes the same
+values: the simulator runs it once per block (see
+:mod:`repro.engine.codegen`) yet still charges its cycles to every
+thread, as the GPU pays them.
 
 A note on atomicity: Fig. 7 increments ``_numParents`` and ``_sumGDim``
 with a *single* 64-bit atomic so that the scanned array is written in a

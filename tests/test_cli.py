@@ -64,6 +64,12 @@ class TestBenchCommand:
         assert "simulated cycles" in out
         assert "T=16" in out
 
+    def test_label_without_its_parameter_exits_2(self, capsys):
+        code = main(["bench", "BFS", "KRON", "--variant", "CDP+T+C+A",
+                     "--threshold", "32", "--scale", "0.08"])
+        assert code == 2
+        assert "coarsen_factor" in capsys.readouterr().err
+
 
 class TestFigureCommand:
     def test_table1(self, tmp_path, capsys):
@@ -110,6 +116,12 @@ class TestSweepCommand:
         assert main(["sweep", "--pairs", "BFS:KRON", "--variants", "CDPTCA",
                      "--no-cache"]) == 2
         assert "unknown variant" in capsys.readouterr().err
+
+    def test_label_without_its_parameter_exits_2(self, capsys):
+        assert main(["sweep", "--pairs", "BFS:KRON", "--variants",
+                     "CDP+T+A", "--threshold", "16", "--no-cache"]) == 2
+        assert "CDP+T+A uses +A but its params leave granularity unset" \
+            in capsys.readouterr().err
 
 
 class TestSweepJobs:

@@ -5,9 +5,12 @@ import pytest
 
 from repro.engine import Dim3, Module, alloc_for_type, run_grid
 from repro.errors import CodegenError, RuntimeLaunchError
-from repro.minicuda.ast import Type
-from repro.runtime import Device
+from repro.minicuda import ast, parse
+from repro.minicuda import builders as b
+from repro.minicuda.ast import Type, set_region
+from repro.runtime import Device, blocks
 from repro.sim import CostModel, Trace
+from repro.transforms import OptConfig, transform
 
 
 def run(source, kernel, grid, block, *args, module=None):
@@ -469,6 +472,182 @@ class TestBlockFunction:
         assert list(out.array) == list(range(40))
         assert block_costs(record) == \
             ([(129, 105 + 129 + 129)], 2 * sum(3 * t + 12 for t in range(40)))
+
+
+def prologue_kernel(prologue, body):
+    """``k(int *p, int *q)``, beside a global ``int g``, whose leading
+    statements *prologue* are tagged ``"disagg"``, as aggregation tags
+    the disaggregation logic."""
+    for stmt in prologue:
+        set_region(stmt, "disagg")
+    params = [ast.Param(ast.INT.pointer_to(), name) for name in "pq"]
+    return ast.Program([b.decl_int("g"), ast.FunctionDef(
+        ("__global__",), ast.VOID.clone(), "k", params,
+        b.block(prologue, body))])
+
+
+class TestDisaggregationPrologue:
+    """A block function runs its kernel's leading "disagg" statements once
+    per block, before the thread loop, and charges them to every
+    thread."""
+
+    SEARCH_SRC = """
+    __global__ void child(int *out, int base) {
+        int t = blockIdx.x * blockDim.x + threadIdx.x;
+        out[base + t] = t;
+    }
+    __global__ void parent(int *out) {
+        child<<<2, 64>>>(out, threadIdx.x * 128);
+    }
+    """
+
+    def test_aggregated_child_searches_once_per_block(self):
+        result = transform(self.SEARCH_SRC, OptConfig(aggregate="grid"))
+        module = Module(result.program, result.meta)
+        divisions = []
+        c_div = module.namespace["_div"]
+
+        def counting_div(x, y):
+            divisions.append((x, y))
+            return c_div(x, y)
+
+        module.namespace["_div"] = counting_div
+        dev = Device(module)
+        out = dev.alloc("int", 256)
+        dev.launch("parent", 1, 2, out)
+        dev.sync()
+        assert list(out.array) == list(range(128)) * 2
+        # Two parents: each of the aggregated grid's 4 blocks halves the
+        # search range [0, 1] once, where 256 threads would have.
+        assert len(divisions) == 4
+
+    @pytest.mark.parametrize("prologue, body, problem", [
+        ([b.decl_int("x", b.member("threadIdx", "x"))], [],
+         "reads threadIdx"),
+        ([b.expr_stmt(b.assign(b.index("p", 0), 1))], [],
+         "stores through p"),
+        ([b.expr_stmt(b.call("atomicAdd", b.address_of(b.index("p", 0)),
+                             1))], [],
+         "stores through p"),
+        ([b.decl_int("x", b.index("p", b.member("blockIdx", "x")))],
+         [b.expr_stmt(b.assign(b.index("p", b.member("threadIdx", "x")),
+                               b.ident("x")))],
+         "reads p, which the rest of the kernel writes"),
+        ([b.decl_int("x", b.ident("g"))], [b.expr_stmt(b.assign("g", 1))],
+         "reads g, which the rest of the kernel writes"),
+        ([b.expr_stmt(b.assign("q", b.ident("p")))], [],
+         "assigns q, which it does not declare"),
+        ([b.expr_stmt(ast.Launch("k", b.lit(1), b.lit(1),
+                                 [b.ident("p"), b.ident("q")]))], [],
+         "launches a kernel"),
+        ([b.expr_stmt(b.call("printf", ast.StrLit("x")))], [],
+         "calls printf"),
+        ([ast.DeclStmt([ast.VarDecl(ast.INT.clone(), "buf",
+                                    array_size=b.lit(4))])], [],
+         "declares the array buf"),
+        ([ast.Return()], [], "returns"),
+    ], ids=["threadIdx", "store", "atomic", "read-after-write",
+            "global-read-after-write", "foreign-assign", "launch", "printf",
+            "array", "return"])
+    def test_rejected_prologues(self, prologue, body, problem):
+        with pytest.raises(CodegenError) as err:
+            Module(prologue_kernel(prologue, body))
+        assert "prologue of 'k' %s" % problem in str(err.value)
+
+    def test_untagged_code_inside_the_prologue_is_rejected(self):
+        loop = ast.While(b.lt("i", 2), b.block(b.expr_stmt(
+            b.assign("i", b.add("i", 1)))))
+        program = prologue_kernel([b.decl_int("i", 0), loop], [])
+        set_region(loop.body, None)
+        with pytest.raises(CodegenError) as err:
+            Module(program)
+        assert "prologue of 'k' holds code not tagged" in str(err.value)
+
+    HAND_SRC = """
+    __global__ void k(int *p, int *q) {
+        int *r = p + blockIdx.x * 40;
+        int base = blockIdx.x * 8;
+        dim3 d = dim3(blockIdx.x + 1, 1, 1);
+        int w = q[0];
+        q = q + 1;
+        base += threadIdx.x;
+        d.x = d.x + threadIdx.x;
+        r[threadIdx.x] = base * 1000 + d.x * 100 + w * 10 + q[0];
+    }
+    """
+
+    def run_hand(self, hoisted):
+        # The first four statements are the prologue. An untagged no-op
+        # in front of them keeps them in the thread loop, per thread.
+        program = parse(self.HAND_SRC)
+        body = program.function("k").body
+        for stmt in body.stmts[:4]:
+            set_region(stmt, "disagg")
+        if not hoisted:
+            body.stmts.insert(0, b.decl_int("z", 0))
+        module = Module(program)
+        assert ("_pc * len(_tixs)" in module.python_source) == hoisted
+        assert ("a_r = v_r.array" in module.python_source) == hoisted
+        p = alloc_for_type(Type("int"), 80)
+        _, _, record = run(None, "k", 2, 40, p, int_array([3, 4]),
+                           module=module)
+        return list(p.array), block_costs(record), record.reg_disagg
+
+    def test_hand_tagged_prologue_costs_what_it_costs_per_thread(self):
+        # It reads the parameter q that the thread body rebinds, loads a
+        # pointer the body stores through, and binds an int and a dim3
+        # that the body rebinds.
+        hoisted = self.run_hand(True)
+        assert hoisted == self.run_hand(False)
+        assert hoisted[0] == [(8 * bx + t) * 1000 + (bx + 1 + t) * 100 + 34
+                              for bx in range(2) for t in range(40)]
+        assert hoisted[2] > 0
+
+    REBIND_SRC = """
+    __global__ void child(int *src, int *out, int base, int n) {
+        int tid = blockIdx.x * blockDim.x + threadIdx.x;
+        if (tid < n) {
+            base += tid;
+            src = src + 1;
+            out[base] = src[base] * 2;
+        }
+    }
+    __global__ void parent(int *src, int *out, int *offs, int m) {
+        int t = blockIdx.x * blockDim.x + threadIdx.x;
+        if (t < m) {
+            int c = offs[t + 1] - offs[t];
+            if (c > 0) {
+                child<<<(c + 31) / 32, 32>>>(src, out, offs[t], c);
+            }
+        }
+    }
+    """
+
+    def run_rebind(self, config):
+        if config is None:
+            module = Module(self.REBIND_SRC)
+        else:
+            result = transform(self.REBIND_SRC, config)
+            module = Module(result.program, result.meta)
+        sizes = [0, 5, 40, 1, 33, 0, 64, 7] * 5
+        offs = np.concatenate([[0], np.cumsum(sizes)])
+        dev = Device(module)
+        src = dev.upload(np.arange(offs[-1] + 1) * 3)
+        out = dev.alloc("int", int(offs[-1]))
+        dev.launch("parent", blocks(len(sizes), 16), 16, src, out,
+                   dev.upload(offs), len(sizes))
+        dev.sync()
+        return module, out.to_numpy()
+
+    @pytest.mark.parametrize("granularity",
+                             ["warp", "block", "multiblock", "grid"])
+    def test_child_rebinding_its_parameters_matches_cdp(self, granularity):
+        _, expected = self.run_rebind(None)
+        module, out = self.run_rebind(
+            OptConfig(aggregate=granularity, group_blocks=2))
+        assert "_pc * len(_tixs)" in module.python_source
+        assert list(out) == list(expected)
+        assert list(expected) == [6 * (i + 1) for i in range(len(out))]
 
 
 class TestCodegenErrors:

@@ -8,7 +8,7 @@ import pytest
 from repro.benchmarks import get_benchmark
 from repro.errors import ReproError
 from repro.harness import (TuningParams, VARIANT_LABELS, child_launch_sizes,
-                           geomean, outputs_match, run_variant,
+                           geomean, mask_params, outputs_match, run_variant,
                            threshold_candidates, tune, uses, variant_to_run)
 
 SCALE = 0.1
@@ -58,6 +58,23 @@ class TestVariantMapping:
         for label in VARIANT_LABELS:
             variant, _ = variant_to_run(label, params)
             assert variant in ("cdp", "nocdp")
+
+    @pytest.mark.parametrize("label, params, letter, missing", [
+        ("CDP+T", TuningParams(coarsen_factor=8), "+T", "threshold"),
+        ("CDP+T+C+A", TuningParams(threshold=32), "+C", "coarsen_factor"),
+        ("CDP+T+C+A", TuningParams(threshold=32, coarsen_factor=8), "+A",
+         "granularity"),
+        ("KLAP (CDP+A)", TuningParams(threshold=32), "+A", "granularity"),
+    ])
+    def test_label_without_its_parameter_is_rejected(self, label, params,
+                                                     letter, missing):
+        # Such a point used to run without the optimization and be
+        # reported (and cached) under the label.
+        for check in (variant_to_run, mask_params):
+            with pytest.raises(ReproError) as err:
+                check(label, params)
+            assert str(err.value) == "%s uses %s but its params leave %s " \
+                "unset" % (label, letter, missing)
 
     def test_params_describe(self):
         params = TuningParams(threshold=8, granularity="multiblock",

@@ -184,6 +184,7 @@ class TestPoint:
             "/point?benchmark=BFS&dataset=KRON&threshold=x",  # bad int
             "/point?benchmark=BFS&dataset=KRON&aggregate=x",  # bad gran
             "/point?benchmark=BFS&dataset=KRON&bogus=1",      # unknown key
+            "/point?benchmark=BFS&dataset=KRON&label=CDP%2BT",  # no threshold
         )
         for path in cases:
             status, payload = fetch(server, path)
@@ -268,6 +269,7 @@ class TestSweep:
             dict(self.BODY, params={"bogus": 1}),            # bad param
             dict(self.BODY, on_error="explode"),             # bad on_error
             dict(self.BODY, bogus=1),                        # unknown key
+            dict(self.BODY, variants=["CDP+C"]),             # no coarsen
         )
         for body in cases:
             status, payload = fetch(server, "/sweep", data=body)
