@@ -52,11 +52,6 @@ def _add_opt_flags(parser):
                         help="aggregation granularity (enables aggregation)")
     parser.add_argument("--group-blocks", type=int, default=8,
                         help="blocks per group for multi-block aggregation")
-    parser.add_argument("--agg-threshold", type=int, default=None,
-                        help="aggregation threshold (warp/block only)")
-    parser.add_argument("--promote", action="store_true",
-                        help="apply KLAP promotion to single-block "
-                             "self-recursive kernels first")
 
 
 def _config_from(args):
@@ -70,7 +65,7 @@ def _config_from(args):
 def cmd_transform(args):
     with open(args.source) as handle:
         source = handle.read()
-    if getattr(args, "promote", False):
+    if args.promote:
         from .transforms import PromotionPass
         program = parse(source)
         promo_meta = PromotionPass().run(program)
@@ -438,6 +433,11 @@ def build_parser():
     p_transform.add_argument("--meta", default=None,
                              help="write runtime metadata JSON here")
     _add_opt_flags(p_transform)
+    p_transform.add_argument("--agg-threshold", type=int, default=None,
+                             help="aggregation threshold (warp/block only)")
+    p_transform.add_argument("--promote", action="store_true",
+                             help="apply KLAP promotion to single-block "
+                                  "self-recursive kernels first")
     p_transform.set_defaults(func=cmd_transform)
 
     p_analyze = sub.add_parser(
@@ -448,7 +448,7 @@ def build_parser():
     p_bench = sub.add_parser("bench", help="run one benchmark variant")
     p_bench.add_argument("benchmark")
     p_bench.add_argument("dataset")
-    p_bench.add_argument("--variant", default="CDP+T+C+A")
+    p_bench.add_argument("--variant", default="CDP")
     p_bench.add_argument("--scale", type=float, default=0.25)
     _add_opt_flags(p_bench)
     p_bench.set_defaults(func=cmd_bench)

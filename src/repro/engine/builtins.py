@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 
+from ..errors import SimulationError
+
 _FLOATS = (float, np.floating)
 
 
@@ -109,3 +111,44 @@ def atomic_and(array, index, convert, value):
     old = array[index]
     array[index] = convert(old & int(value))
     return old
+
+
+# -- barriers ------------------------------------------------------------
+
+def rotate(rt, generators):
+    """Run one block of a barrier kernel: advance its threads' generators
+    (``k_<name>``, one per thread in linear order) between
+    ``__syncthreads()`` and re-synchronize their cycle counters to the
+    slowest arrival. A thread that already returned stops participating,
+    which makes the ``if (threadIdx.x < _bDim)`` disaggregation guard
+    safe. Returns the block's ``(max_warp, sum_warp, total)``."""
+    cycles = [0] * len(generators)
+    resume_value = {}
+    active = list(enumerate(generators))
+    rounds = 0
+    while active:
+        rounds += 1
+        if rounds > 100000:
+            raise SimulationError("barrier rotation did not converge")
+        arrived = []
+        for tid, gen in active:
+            rt.tc = 0
+            try:
+                if tid in resume_value:
+                    yielded = gen.send(resume_value[tid])
+                else:
+                    yielded = next(gen)
+                arrived.append((tid, gen, yielded + rt.tc))
+            except StopIteration as stop:
+                cycles[tid] = (stop.value or 0) + rt.tc
+        if not arrived:
+            break
+        barrier_time = max(c for _, _, c in arrived)
+        active = []
+        for tid, gen, _ in arrived:
+            resume_value[tid] = barrier_time
+            cycles[tid] = barrier_time
+            active.append((tid, gen))
+    peaks = [max(cycles[base:base + 32])
+             for base in range(0, len(cycles), 32)]
+    return max(peaks, default=0), sum(peaks), sum(cycles)

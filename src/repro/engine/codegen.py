@@ -1,8 +1,8 @@
 """AST → Python transpiler.
 
-Every miniCUDA function becomes a Python function: a barrier-free kernel
-of a 1-D program runs a whole thread block per call, every other function
-one simulated thread. The generated code
+Every miniCUDA kernel becomes a Python block function that runs a whole
+thread block per call; a device function runs for one simulated thread.
+The generated code
 
 * accumulates a per-thread cycle count ``_c`` using the
   :class:`~repro.sim.costmodel.CostModel` weights (constants are folded at
@@ -12,42 +12,53 @@ one simulated thread. The generated code
 * reports dynamic launches to the execution context
   (``_c = _rt.launch(...)``), which records the launching block and the
   thread-cycle offset of the launch;
-* compiles kernels that use ``__syncthreads()`` into *generators* that yield
-  their cycle count at each barrier so the block executor can rotate threads
-  and re-synchronize their clocks.
+* compiles a kernel that uses ``__syncthreads()`` into a per-thread
+  *generator* that yields its cycle count at each barrier, so that its
+  block function can rotate the threads and re-synchronize their clocks.
 
 Calling conventions:
 
-* barrier-free kernel of a 1-D program (one that never reads the y/z
-  thread or block indices): ``b_<name>(_rt, _bix, _tixs, _gdim, _bdim,
-  *params) -> (max_warp, sum_warp, total)`` runs the threads ``_tixs`` of
-  block ``_bix`` in order, 32 to a warp, and returns the block's warp costs
-  and thread-cycle total. A ``return`` ends only the current thread, and a
-  parameter the kernel rebinds is copied for each thread. Each
-  pointer parameter the kernel indexes and never rebinds is hoisted once
-  per block into its list ``a_<p>`` and offset ``o_<p>`` (plus the store
-  conversion ``s_<p>`` of :class:`~repro.engine.values.Ptr` if the kernel
-  stores through it), so its loads and stores skip the Ptr. The kernel's
-  leading statements tagged ``"disagg"`` (an aggregated child's
-  disaggregation: the binary search and the loads of its parent's
-  arguments) are its *prologue*, which runs once per block, before the
-  thread loop, summing its cycles in ``_pc``: each thread's ``_c`` starts
-  at ``_pc`` and ``_rt.reg_disagg`` grows by ``_pc`` times the block's
-  thread count, so every cost equals running it per thread. The pointers
-  it loads and the thread body indexes without rebinding are hoisted like
-  parameters, and a local of it the thread body rebinds is copied for
-  each thread. The tag is checked: ``CodegenError`` if the prologue reads
-  ``threadIdx``, does anything but bind its own locals (a store, atomic,
-  launch, device-function call, ``printf``, barrier or ``return``), or
-  reads a pointer (or global) the rest of the kernel writes;
-* any other kernel: ``k_<name>(_rt, _bix, _tix, _gdim, _bdim, *params) ->
-  cycles`` per thread (generators return cycles via
-  ``StopIteration.value``); a 3-D program's functions take ``_bix, _biy,
-  _biz, _tix, _tiy, _tiz`` in place of ``_bix, _tix``;
+* kernel: ``b_<name>(_rt, block, _tixs, _gdim, _bdim, *params) ->
+  (max_warp, sum_warp, total)`` is the one entry point. It runs the
+  threads ``_tixs`` of block *block* in order, 32 to a warp, and returns
+  the block's warp costs and thread-cycle total. In a 1-D program (one
+  that never reads the y/z thread or block indices) *block* is the x
+  index ``_bix`` and ``_tixs`` are x indices; in a 3-D program *block* is
+  ``(bx, by, bz)`` and ``_tixs`` are ``(tx, ty, tz)`` triples in linear
+  order (x fastest), so warps form over the linearized block;
+* barrier-free kernel: ``b_<name>`` runs its threads inline. A ``return``
+  ends only the current thread, and a parameter the kernel rebinds is
+  copied for each thread. Each pointer parameter the kernel indexes and
+  never rebinds is hoisted once per block into its list ``a_<p>`` and
+  offset ``o_<p>`` (plus the store conversion ``s_<p>`` of
+  :class:`~repro.engine.values.Ptr` if the kernel stores through it), so
+  its loads and stores skip the Ptr. The kernel's leading statements
+  tagged ``"disagg"`` (an aggregated child's disaggregation: the binary
+  search and the loads of its parent's arguments) are its *prologue*,
+  which runs once per block, before the thread loop, summing its cycles
+  in ``_pc``: each thread's ``_c`` starts at ``_pc`` and
+  ``_rt.reg_disagg`` grows by ``_pc`` times the block's thread count, so
+  every cost equals running it per thread. The pointers it loads and the
+  thread body indexes without rebinding are hoisted like parameters, and
+  a local of it the thread body rebinds is copied for each thread. The
+  tag is checked: ``CodegenError`` if the prologue reads ``threadIdx``,
+  does anything but bind its own locals (a store, atomic, launch,
+  device-function call, ``printf``, barrier or ``return``), or reads a
+  pointer (or global) the rest of the kernel writes;
+* barrier kernel: ``k_<name>(_rt, _bix, _tix, _gdim, _bdim, *params)`` is
+  a per-thread generator that returns its cycles via
+  ``StopIteration.value``. Only its ``b_<name>`` calls it, once per thread,
+  and hands the generators to :func:`~repro.engine.builtins.rotate`;
 * device function: ``f_<name>(_rt, _bix, _tix, _gdim, _bdim, *params)
   -> value`` with its cycles added to ``_rt.tc`` (the per-thread spill
   counter reset before each thread of a kernel that calls one), so device
   calls compose in expressions.
+
+In a 3-D program ``k_`` and ``f_`` take ``_bix, _biy, _biz, _tix, _tiy,
+_tiz`` in place of ``_bix, _tix``. A ``dim3`` is passed by value: a
+function that rebinds a ``dim3`` parameter (a member store ``d.x = ...``
+included) copies it on entry, a block function once per thread, so
+neither the caller's value nor another thread's changes.
 """
 
 from ..errors import CodegenError
@@ -102,6 +113,17 @@ _BLOCK_LOCALS = {"_bdim.x": "_bdx", "_gdim.x": "_gdx"}
 
 def _mangle(name):
     return "v_" + name
+
+
+def _is_dim3(var_type):
+    return var_type.name == "dim3" and var_type.pointers == 0
+
+
+def _copy(name, var_type):
+    """The line that gives a thread its own ``v_<name>`` of the block's
+    shared ``p_<name>``; a ``dim3`` is mutable, so it is copied by value."""
+    return ("v_%s = _D3.of(p_%s)" if _is_dim3(var_type)
+            else "v_%s = p_%s") % (name, name)
 
 
 class _Facts:
@@ -239,11 +261,10 @@ class FunctionCodegen:
             raise CodegenError(
                 "device function %r uses __syncthreads(); barriers are only "
                 "supported directly inside kernels" % func.name)
-        # Barrier kernels rotate per-thread generators, and 3-D programs
-        # take six index components; every other kernel runs a block per
-        # call (the b_<name> convention).
-        self.fused = (func.is_kernel and not self.has_barrier
-                      and not program_info.multi_dim)
+        # Every kernel compiles to a block function b_<name>: a barrier
+        # kernel's rotates its per-thread generators k_<name>, every other
+        # kernel's runs its threads inline.
+        self.fused = func.is_kernel and not self.has_barrier
         self.hoisted = {
             p.name for p in func.params
             if self.fused and p.type.pointers > 0 and p.name in facts.indexed
@@ -294,17 +315,12 @@ class FunctionCodegen:
 
     # -- entry point --------------------------------------------------------
 
-    @property
-    def _ctx_args(self):
-        """Thread-context parameters threaded through every call.
-
-        Programs that never read threadIdx/blockIdx .y/.z use the compact
-        1-D context (faster: millions of simulated thread calls); programs
-        with multi-dimensional kernels get the full 3-D context.
-        """
+    def _emit_block_def(self, params):
+        """Open ``b_<name>``, unpacking a 3-D program's block triple."""
+        self._emit(0, "def b_%s(_rt, %s, _tixs, _gdim, _bdim%s):"
+                   % (self.func.name, self.info.block, params))
         if self.info.multi_dim:
-            return "_bix, _biy, _biz, _tix, _tiy, _tiz, _gdim, _bdim"
-        return "_bix, _tix, _gdim, _bdim"
+            self._emit(1, "_bix, _biy, _biz = _blk")
 
     def generate(self):
         func = self.func
@@ -318,11 +334,19 @@ class FunctionCodegen:
         params = "".join(", " + _mangle(p.name) for p in func.params)
         prefix = "k_" if func.is_kernel else "f_"
         self._emit(0, "def %s%s(_rt, %s%s):" % (
-            prefix, func.name, self._ctx_args, params))
+            prefix, func.name, self.info.ctx_args, params))
+        for p in func.params:
+            if p.name in self.facts.rebound and _is_dim3(p.type):
+                self._emit(1, "v_%s = _D3.of(v_%s)" % (p.name, p.name))
         self._emit(1, "_c = %d" % tax)
         self._gen_compound(func.body, 1)
         if func.is_kernel:
             self._emit(1, "return _c")
+            self._emit(0, "")
+            self._emit_block_def(params)
+            self._emit(1, "return _rotate(_rt, [k_%s(_rt, %s%s) for %s in "
+                          "_tixs])" % (func.name, self.info.ctx_args, params,
+                                       self.info.thread))
         else:
             self._emit(1, "_rt.tc += _c")
             self._emit(1, "return None")
@@ -334,7 +358,8 @@ class FunctionCodegen:
         # kernel rebinds arrives as p_<name> and is copied for each thread.
         rebound = [p.name for p in self.func.params
                    if p.name in self.facts.rebound]
-        copies = ["v_%s = p_%s" % (name, name) for name in rebound]
+        copies = [_copy(p.name, p.type) for p in self.func.params
+                  if p.name in self.facts.rebound]
         body, start = self.func.body, "_c = %d" % tax
         if self.prologue is not None:
             body, start = self._generate_prologue(tax, rebound, copies)
@@ -346,8 +371,7 @@ class FunctionCodegen:
         params = "".join(
             ", " + ("p_" if p.name in rebound else "v_") + p.name
             for p in self.func.params)
-        self._emit(0, "def b_%s(_rt, _bix, _tixs, _gdim, _bdim%s):" % (
-            self.func.name, params))
+        self._emit_block_def(params)
         self._emit_hoists(p.name for p in self.func.params
                           if p.name in self.hoisted)
         for read, local in _BLOCK_LOCALS.items():
@@ -357,7 +381,7 @@ class FunctionCodegen:
         self._emit(1, "_mw = _sw = _tot = 0")
         self._emit(1, "for _w in range(0, len(_tixs), 32):")
         self._emit(2, "_pk = 0")
-        self._emit(2, "for _tix in _tixs[_w:_w + 32]:")
+        self._emit(2, "for %s in _tixs[_w:_w + 32]:" % self.info.thread)
         if self.facts.calls_device:
             self._emit(3, "_rt.tc = 0")
         if self._returns_in_loop:
@@ -394,9 +418,7 @@ class FunctionCodegen:
         for name, var_type in decls.items():
             if name in thread.rebound:
                 self._emit(1, "p_%s = v_%s" % (name, name))
-                dim3 = var_type.name == "dim3" and var_type.pointers == 0
-                copies.append(("v_%s = _D3.of(p_%s)" if dim3
-                               else "v_%s = p_%s") % (name, name))
+                copies.append(_copy(name, var_type))
         self._emit(1, "_rt.reg_disagg += _pc * len(_tixs)")
         body = ast.Compound(self.func.body.stmts[len(stmts):])
         return body, "_c = _pc + %d" % tax if tax else "_c = _pc"
@@ -660,7 +682,7 @@ class FunctionCodegen:
             self._emit(indent, "%s = %s" % (name, default))
             return
         value = self._expr(decl.init)
-        if decl.type.name == "dim3" and decl.type.pointers == 0:
+        if _is_dim3(decl.type):
             value = "_D3.of(%s)" % value
         self._emit(indent, "%s = %s" % (name, value))
 
@@ -922,7 +944,7 @@ class FunctionCodegen:
             return "%s.fill(%s)" % (ptr, value)
         if name in self.info.functions:
             args = "".join(", " + self._expr(a) for a in expr.args)
-            return "f_%s(_rt, %s%s)" % (name, self._ctx_args, args)
+            return "f_%s(_rt, %s%s)" % (name, self.info.ctx_args, args)
         raise CodegenError(
             "call to unknown function %r in %r" % (name, self.func.name))
 
@@ -994,6 +1016,16 @@ class ProgramInfo:
             and node.obj.name in ("threadIdx", "blockIdx")
             and node.attr in ("y", "z")
             for node in program.walk())
+        # The index arguments of every k_ and f_ call, a block function's
+        # block argument and its thread loop target (one of _tixs). A
+        # program that never reads the y/z indices gets the compact 1-D
+        # ones (faster: millions of simulated thread calls).
+        if self.multi_dim:
+            self.ctx_args = "_bix, _biy, _biz, _tix, _tiy, _tiz, _gdim, _bdim"
+            self.block, self.thread = "_blk", "_tix, _tiy, _tiz"
+        else:
+            self.ctx_args = "_bix, _tix, _gdim, _bdim"
+            self.block, self.thread = "_bix", "_tix"
         self.kernels = {f.name for f in program.kernels()}
         self.global_scalars = set()
         self.global_arrays = set()
@@ -1020,7 +1052,8 @@ def generate_module_source(program, macros=None, cost_model=None):
         "import math as _m",
         "from repro.engine.values import Dim3 as _D3, Ptr as _Ptr",
         "from repro.engine.builtins import (c_div as _div, c_mod as _mod,"
-        " local_array as _local_array, identity as _identity, %s)"
+        " local_array as _local_array, identity as _identity,"
+        " rotate as _rotate, %s)"
         % ", ".join("%s as _%s" % (method, method)
                     for method in _ATOMIC_METHODS.values()),
         "",

@@ -2,16 +2,12 @@
 
 Grids run on real data: threads execute sequentially (block by block), so
 atomics need no locking and the paired-counter update of Fig. 7 is trivially
-consistent. A barrier-free kernel of a 1-D program is compiled to a block
-function (``b_<name>``, see :mod:`repro.engine.codegen`) that runs every
-thread of one block and returns the block's warp costs, so the executor
-makes one call per block. Kernels containing ``__syncthreads()`` are
-compiled to per-thread generators; :func:`_run_block_barrier` rotates all
-threads of a block between barriers and re-synchronizes their cycle
-counters to the slowest arrival — threads that already returned simply
-stop participating (this makes the ``if (threadIdx.x < _bDim)``
-disaggregation guard safe). Kernels of programs that read the y/z indices
-run one call per thread in :func:`_run_grid_nd`.
+consistent. Every kernel compiles to a block function ``b_<name>`` (see
+:mod:`repro.engine.codegen`) that runs one whole block and returns its warp
+costs, so the executor makes one call per block; a barrier kernel's rotates
+its threads' generators (:func:`repro.engine.builtins.rotate`). Blocks and
+threads are x indices in linear order, or ``(x, y, z)`` triples for a
+kernel of a 3-D program.
 
 Dynamic launches are queued and executed breadth-first after the launching
 grid completes — CUDA guarantees children see their parent's prior writes,
@@ -19,9 +15,8 @@ and no benchmark relies on stronger parent/child memory interleaving.
 """
 
 from collections import deque
-from functools import partial
 
-from ..errors import RuntimeLaunchError, SimulationError
+from ..errors import RuntimeLaunchError
 from ..sim.trace import DEVICE, BlockCost, LaunchRecord
 from .builtins import (atomic_add, atomic_and, atomic_cas, atomic_exch,
                        atomic_max, atomic_min, atomic_or, atomic_sub,
@@ -34,19 +29,16 @@ class ExecContext:
     """The ``_rt`` object generated kernel code talks to.
 
     One instance exists per *grid execution*; per-thread state (``tc``) is
-    reset before each thread, by a block function or the executor's
-    per-thread loops.
+    reset by the block function before each thread (and by
+    :func:`~repro.engine.builtins.rotate` before each resumption).
     """
 
-    __slots__ = ("module", "trace", "cost_model", "grid_record",
-                 "current_block", "tc", "reg_agg", "reg_disagg",
-                 "reg_launch", "pending", "_shared")
+    __slots__ = ("trace", "cost_model", "current_block", "tc", "reg_agg",
+                 "reg_disagg", "reg_launch", "pending", "_shared")
 
-    def __init__(self, module, trace, cost_model, grid_record):
-        self.module = module
+    def __init__(self, trace, cost_model):
         self.trace = trace
         self.cost_model = cost_model
-        self.grid_record = grid_record
         self.current_block = 0
         self.tc = 0
         self.reg_agg = 0
@@ -182,24 +174,14 @@ def _execute_single(module, trace, kernel_name, grid_dim, block_dim, args,
 
     record = trace.new_grid(kernel_name, grid_dim.total, block_dim.total)
     record.launch = launch_record
-    rt = ExecContext(module, trace, cost_model, record)
-
-    one_dim = (grid_dim.total == grid_dim.x
-               and block_dim.total == block_dim.x
-               and not kernel.multi_dim)
-    if one_dim:
-        run_block = kernel.fn
-        if not kernel.fused:
-            run_block = partial(_run_block_barrier, run_block)
-        threads = range(block_dim.x)
-        for bix in range(grid_dim.x):
-            rt.begin_block(bix)
-            max_warp, sum_warp, total = run_block(
-                rt, bix, threads, grid_dim, block_dim, *args)
-            record.blocks.append(BlockCost(max_warp, sum_warp))
-            record.total_cycles += total
-    else:
-        _run_grid_nd(kernel, rt, grid_dim, block_dim, args, record)
+    rt = ExecContext(trace, cost_model)
+    threads = _indices(block_dim, kernel.multi_dim)
+    for linear, block in enumerate(_indices(grid_dim, kernel.multi_dim)):
+        rt.begin_block(linear)
+        max_warp, sum_warp, total = kernel.fn(
+            rt, block, threads, grid_dim, block_dim, *args)
+        record.blocks.append(BlockCost(max_warp, sum_warp))
+        record.total_cycles += total
 
     record.reg_agg = rt.reg_agg
     record.reg_disagg = rt.reg_disagg
@@ -209,120 +191,14 @@ def _execute_single(module, trace, kernel_name, grid_dim, block_dim, args,
     return record
 
 
-_WARP = 32
-
-
-def _block_coords(gdim):
-    """Yield (linear index, bx, by, bz) for every block, x fastest."""
-    linear = 0
-    for bz in range(gdim.z):
-        for by in range(gdim.y):
-            for bx in range(gdim.x):
-                yield linear, bx, by, bz
-                linear += 1
-
-
-def _thread_coords(bdim):
-    """Yield (tx, ty, tz) in CUDA linearization order (x fastest)."""
-    for tz in range(bdim.z):
-        for ty in range(bdim.y):
-            for tx in range(bdim.x):
-                yield tx, ty, tz
-
-
-def _run_grid_nd(kernel, rt, gdim, bdim, args, record):
-    """General multi-dimensional grid execution.
-
-    Kernels compiled with the 3-D calling convention receive all six index
-    components; 1-D-convention kernels launched with a multi-dimensional
-    configuration still execute every (y, z) copy but only see the x
-    components — matching hardware, where unused indices simply go unread.
-    A block function gets the block's x indices in linear thread order, so
-    its warps form over the linearized block.
-    """
-    fn = kernel.fn
-    if kernel.fused:
-        threads = [tx for tx, _, _ in _thread_coords(bdim)]
-        for linear, bx, _, _ in _block_coords(gdim):
-            rt.begin_block(linear)
-            max_warp, sum_warp, total = fn(rt, bx, threads, gdim, bdim,
-                                           *args)
-            record.blocks.append(BlockCost(max_warp, sum_warp))
-            record.total_cycles += total
-        return
-
-    def call(bx, by, bz):
-        if kernel.multi_dim:
-            return [fn(rt, bx, by, bz, tx, ty, tz, gdim, bdim, *args)
-                    for tx, ty, tz in _thread_coords(bdim)]
-        return [fn(rt, bx, tx, gdim, bdim, *args)
-                for tx, ty, tz in _thread_coords(bdim)]
-
-    for linear, bx, by, bz in _block_coords(gdim):
-        rt.begin_block(linear)
-        if kernel.has_barrier:
-            max_warp, sum_warp, total = _rotate_generators(
-                rt, call(bx, by, bz), bdim.total)
-        else:
-            cycles = []
-            total = 0
-            for tx, ty, tz in _thread_coords(bdim):
-                rt.tc = 0
-                c = fn(rt, bx, by, bz, tx, ty, tz, gdim, bdim, *args)
-                c += rt.tc
-                cycles.append(c)
-                total += c
-            max_warp, sum_warp = _warp_costs(cycles)
-        record.blocks.append(BlockCost(max_warp, sum_warp))
-        record.total_cycles += total
-
-
-def _warp_costs(cycles):
-    max_warp = 0
-    sum_warp = 0
-    for base in range(0, len(cycles), _WARP):
-        peak = max(cycles[base:base + _WARP])
-        sum_warp += peak
-        if peak > max_warp:
-            max_warp = peak
-    return max_warp, sum_warp
-
-
-def _rotate_generators(rt, generators, num_threads):
-    """Advance a block's thread generators between barriers (shared by the
-    1-D barrier path and the multi-dimensional path)."""
-    cycles = [0] * num_threads
-    resume_value = {}
-    active = list(enumerate(generators))
-    rounds = 0
-    while active:
-        rounds += 1
-        if rounds > 100000:
-            raise SimulationError("barrier rotation did not converge")
-        arrived = []
-        for tid, gen in active:
-            rt.tc = 0
-            try:
-                if tid in resume_value:
-                    yielded = gen.send(resume_value[tid])
-                else:
-                    yielded = next(gen)
-                arrived.append((tid, gen, yielded + rt.tc))
-            except StopIteration as stop:
-                cycles[tid] = (stop.value or 0) + rt.tc
-        if not arrived:
-            break
-        barrier_time = max(c for _, _, c in arrived)
-        active = []
-        for tid, gen, _ in arrived:
-            resume_value[tid] = barrier_time
-            cycles[tid] = barrier_time
-            active.append((tid, gen))
-    max_warp, sum_warp = _warp_costs(cycles)
-    return max_warp, sum_warp, sum(cycles)
-
-
-def _run_block_barrier(fn, rt, bix, threads, gdim, bdim, *args):
-    """Barrier block: rotate thread generators between __syncthreads()."""
-    generators = [fn(rt, bix, tix, gdim, bdim, *args) for tix in threads]
-    return _rotate_generators(rt, generators, len(threads))
+def _indices(dim, multi_dim):
+    """The points of *dim* in CUDA's linear order (x fastest): ``(x, y,
+    z)`` triples for a kernel of a 3-D program, else x alone, so a 1-D
+    kernel launched with a multi-dimensional configuration still runs
+    every (y, z) copy — as on hardware, where unread indices go unseen."""
+    if multi_dim:
+        return [(x, y, z) for z in range(dim.z) for y in range(dim.y)
+                for x in range(dim.x)]
+    if dim.total == dim.x:
+        return range(dim.x)
+    return list(range(dim.x)) * (dim.y * dim.z)

@@ -24,10 +24,14 @@ from .values import Ptr, alloc_for_type
 
 @dataclass
 class KernelHandle:
-    """One compiled kernel: the generated Python callable plus launch facts.
+    """One compiled kernel: its block function plus launch facts.
 
-    *fn* is the block function ``b_<name>`` when *fused*, else the
-    per-thread ``k_<name>`` (see :mod:`repro.engine.codegen`).
+    *fn* is ``b_<name>``, which runs one whole block per call (see
+    :mod:`repro.engine.codegen`). *multi_dim* picks the index shapes the
+    executor passes it: ``(x, y, z)`` triples for a kernel of a 3-D
+    program, else x indices. *has_barrier* says the kernel uses
+    ``__syncthreads()``, so its block function rotates per-thread
+    generators.
     """
 
     name: str
@@ -39,12 +43,6 @@ class KernelHandle:
     @property
     def num_params(self):
         return len(self.params)
-
-    @property
-    def fused(self):
-        """Does *fn* run a whole block per call? Codegen compiles every
-        barrier-free kernel of a 1-D program to a block function."""
-        return not self.has_barrier and not self.multi_dim
 
 
 @dataclass(frozen=True)
@@ -109,12 +107,10 @@ class Module:
         self._allocate_globals()
         self.kernels = {}
         for name, info in artifact.kernel_info.items():
-            kernel = KernelHandle(
-                name=name, fn=None, has_barrier=info["has_barrier"],
-                params=info["params"], multi_dim=info["multi_dim"])
-            kernel.fn = self.namespace[
-                ("b_" if kernel.fused else "k_") + name]
-            self.kernels[name] = kernel
+            self.kernels[name] = KernelHandle(
+                name=name, fn=self.namespace["b_" + name],
+                has_barrier=info["has_barrier"], params=info["params"],
+                multi_dim=info["multi_dim"])
 
     @classmethod
     def from_artifact(cls, artifact):

@@ -70,6 +70,30 @@ class TestBenchCommand:
         assert code == 2
         assert "coarsen_factor" in capsys.readouterr().err
 
+    def test_default_variant_is_cdp(self, capsys):
+        assert main(["bench", "BFS", "KRON", "--scale", "0.05"]) == 0
+        assert capsys.readouterr().out.startswith("CDP on BFS")
+
+
+class TestTransformOnlyFlags:
+    """``--agg-threshold`` and ``--promote`` reach only ``repro transform``;
+    ``bench`` and ``sweep`` run ``TuningParams``, which has neither, so
+    argparse rejects them there."""
+
+    @pytest.mark.parametrize("flag", [["--agg-threshold", "8"],
+                                      ["--promote"]],
+                             ids=["agg-threshold", "promote"])
+    @pytest.mark.parametrize("command", [
+        ["bench", "BFS", "KRON", "--scale", "0.05"],
+        ["sweep", "--pairs", "BFS:KRON", "--scale", "0.05", "--no-cache"],
+    ], ids=["bench", "sweep"])
+    def test_rejected(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(command + flag)
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: %s" % flag[0] \
+            in capsys.readouterr().err
+
 
 class TestFigureCommand:
     def test_table1(self, tmp_path, capsys):

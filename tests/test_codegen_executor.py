@@ -263,6 +263,49 @@ class TestBarriers:
             Module(src)
 
 
+class TestDim3Parameters:
+    """``dim3`` parameters are passed by value: a thread that member-stores
+    one changes neither the other threads' copies nor the caller's."""
+
+    BUMP_SRC = """
+    __global__ void k(int *out, dim3 g) {
+        g.x = g.x + 1;
+        %s
+        out[%s] = g.x;
+    }
+    """
+
+    def run_bump(self, barrier, index, block):
+        g = Dim3(10)
+        out = alloc_for_type(Type("int"), 4)
+        run(self.BUMP_SRC % (barrier, index), "k", 1, block, out, g)
+        return list(out.array), g
+
+    def test_kernel_member_store_is_per_thread(self):
+        assert self.run_bump("", "threadIdx.x", 4) == ([11] * 4, Dim3(10))
+
+    def test_multi_dim_kernel_member_store_is_per_thread(self):
+        assert self.run_bump("", "threadIdx.y * 2 + threadIdx.x",
+                             Dim3(2, 2)) == ([11] * 4, Dim3(10))
+
+    def test_barrier_kernel_member_store_is_per_thread(self):
+        assert self.run_bump("__syncthreads();", "threadIdx.x", 4) \
+            == ([11] * 4, Dim3(10))
+
+    def test_device_function_member_store_leaves_the_caller(self):
+        src = """
+        __device__ int bump(dim3 d) { d.x = d.x + 5; return d.x; }
+        __global__ void k(int *out) {
+            dim3 d = dim3(1, 1, 1);
+            out[0] = bump(d);
+            out[1] = d.x;
+        }
+        """
+        out = alloc_for_type(Type("int"), 2)
+        run(src, "k", 1, 1, out)
+        assert list(out.array) == [6, 1]
+
+
 class TestLaunches:
     def test_dynamic_launch_recorded_and_executed(self):
         src = """

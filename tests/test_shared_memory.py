@@ -98,28 +98,81 @@ __global__ void parent(float *data, float *out, int *offs, int nseg) {
 """
 
 
+#: A reduction child whose parents launch 32- or 64-thread blocks, so an
+#: aggregated grid's threads past their parent's block size skip the
+#: guarded body and the barriers in it.
+MIXED_BLOCKS_SRC = """
+__global__ void segsum(float *data, float *out, int start, int len, int seg) {
+    __shared__ float buf[64];
+    int tid = threadIdx.x;
+    int idx = blockIdx.x * blockDim.x + tid;
+    buf[tid] = idx < len ? data[start + idx] : 0.0f;
+    __syncthreads();
+    for (int s = blockDim.x / 2; s > 0; s = s / 2) {
+        if (tid < s) {
+            buf[tid] = buf[tid] + buf[tid + s];
+        }
+        __syncthreads();
+    }
+    if (tid == 0) {
+        out[seg * 4 + blockIdx.x] = buf[0];
+    }
+}
+
+__global__ void parent(float *data, float *out, int *offs, int nseg) {
+    int t = blockIdx.x * blockDim.x + threadIdx.x;
+    if (t < nseg) {
+        int start = offs[t];
+        int len = offs[t + 1] - start;
+        int bs = 32;
+        if (len > 64) {
+            bs = 64;
+        }
+        if (len > 0) {
+            segsum<<<(len + bs - 1) / bs, bs>>>(data, out, start, len, t);
+        }
+    }
+}
+"""
+
+
+def run_segments(source, config):
+    """Run *source*'s ``parent`` over 40 random segments, transformed by
+    *config* (None: plain CDP). Returns (outputs, device)."""
+    if config is None:
+        module = Module(source)
+    else:
+        result = transform(source, config)
+        module = Module(result.program, result.meta)
+    dev = Device(module)
+    rng = np.random.default_rng(11)
+    nseg = 40
+    lens = rng.integers(0, 150, nseg)
+    offs = np.zeros(nseg + 1, dtype=np.int64)
+    offs[1:] = np.cumsum(lens)
+    data = dev.upload(rng.random(int(offs[-1]) + 1))
+    out = dev.alloc("float", 256)
+    d_offs = dev.upload(offs)
+    dev.launch("parent", blocks(nseg, 64), 64, data, out, d_offs, nseg)
+    dev.sync()
+    dev.finish()
+    return {"out": out.to_numpy()}, dev
+
+
 class TestBarrierChildrenUnderOptimization:
     """A reduction child can be aggregated/coarsened but not thresholded."""
 
     def _run(self, config):
-        if config is None:
-            module = Module(BARRIER_CDP_SRC)
-        else:
-            result = transform(BARRIER_CDP_SRC, config)
-            module = Module(result.program, result.meta)
-        dev = Device(module)
-        rng = np.random.default_rng(11)
-        nseg = 40
-        lens = rng.integers(0, 150, nseg)
-        offs = np.zeros(nseg + 1, dtype=np.int64)
-        offs[1:] = np.cumsum(lens)
-        data = dev.upload(rng.random(int(offs[-1]) + 1))
-        out = dev.alloc("float", 256)
-        d_offs = dev.upload(offs)
-        dev.launch("parent", blocks(nseg, 64), 64, data, out, d_offs, nseg)
-        dev.sync()
-        dev.finish()
-        return {"out": out.to_numpy()}
+        return run_segments(BARRIER_CDP_SRC, config)[0]
+
+    def test_aggregation_with_mixed_block_sizes(self):
+        reference, _ = run_segments(MIXED_BLOCKS_SRC, None)
+        for granularity in ("block", "multiblock", "grid"):
+            outputs, dev = run_segments(MIXED_BLOCKS_SRC,
+                                        OptConfig(aggregate=granularity))
+            assert outputs_match(reference, outputs, rtol=1e-9), granularity
+            assert {grid.kernel for grid in dev.trace.grids} \
+                == {"parent", "segsum_agg"}, granularity
 
     def test_aggregation_preserves_reduction(self):
         reference = self._run(None)
