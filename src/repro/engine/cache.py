@@ -5,11 +5,19 @@ and re-transpile the benchmark's kernel sources before simulating
 anything — a fixed per-point floor that dominates small points. This
 cache memoizes the whole compile pipeline per
 
-    (kernel source, transform config, cost model, code version)
+    (kernel source, transform structure, cost model, code version)
 
-— the ``function_cache`` idiom of JIT compilers — so repeated points only
-pay artifact *instantiation* (``exec`` of a cached code object into a
-fresh namespace), never recompilation. Instantiation keeps runs isolated:
+— the ``function_cache`` idiom of JIT compilers, which compile once per
+type signature and pass values as arguments. The structure
+(:attr:`~repro.transforms.OptConfig.structure`: which passes run, the
+aggregation granularity, whether an aggregation threshold is set) is
+all a transformed program depends on; the tuning values ``threshold``,
+``coarsen_factor``, ``group_blocks`` and ``agg_threshold`` are macros
+the generated code reads as module globals, so a new value only pays
+artifact *instantiation* (``exec`` of a cached code object into a fresh
+namespace that binds the caller's values), never recompilation. Each
+source is parsed once per cache, too: the Program is kept beside its
+artifacts, and a transform clones it. Instantiation keeps runs isolated:
 two Modules built from one artifact share no mutable state, so the cache
 is safe under the serve miss scheduler's worker threads.
 
@@ -29,14 +37,18 @@ import hashlib
 import threading
 from collections import OrderedDict
 
+from ..minicuda import parse
 from .module import Module, compile_artifact
 
 __all__ = ["CompiledKernelCache", "KERNEL_CACHE", "compiled_module",
            "codegen_cache_key", "DEFAULT_CAPACITY"]
 
-#: Entries kept per cache. A sweep touches one source per benchmark times
-#: the distinct transform configs of its grid; 256 covers the dense
-#: Fig. 11 threshold axes across all seven benchmarks with headroom.
+#: Entries kept per cache, and parsed sources kept. An entry is one
+#: structure of one source, and a benchmark has 29: No CDP, CDP, T, C,
+#: T+C, and each of those four T/C choices with aggregation at six
+#: settings (warp or block, each with or without an aggregation
+#: threshold; multi-block; grid). 256 hold all 203 of the seven
+#: benchmarks, with room for other sources.
 DEFAULT_CAPACITY = 256
 
 _LOOKUPS = None
@@ -72,23 +84,27 @@ def _version_token():
 
 
 def codegen_cache_key(source, config=None, cost_model=None):
-    """Memo key for one compile: source digest + transform config +
-    cost model + the shared version token.
+    """Memo key for one compile: source digest + the structure of the
+    transform config + cost model + the shared version token.
 
     ``config`` is the :class:`~repro.transforms.OptConfig` applied before
-    codegen (None for untransformed source); both it and
-    :class:`~repro.sim.costmodel.CostModel` are frozen dataclasses, so
-    the key is hashable and two effectively-identical compiles collide.
+    codegen (None for untransformed source). The key holds its
+    :attr:`~repro.transforms.OptConfig.structure` and never its tuning
+    values, so configs that differ only in those share one compile.
+    :class:`~repro.sim.costmodel.CostModel` is a frozen dataclass, so the
+    key is hashable.
     """
     digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
-    return (digest, config, cost_model, _version_token())
+    structure = config.structure if config is not None else None
+    return (digest, structure, cost_model, _version_token())
 
 
 class CompiledKernelCache:
-    """Bounded LRU memo of :class:`~repro.engine.module.ModuleArtifact`.
+    """Bounded LRU memo of :class:`~repro.engine.module.ModuleArtifact`,
+    plus the parsed Program of each source it compiled.
 
-    Thread-safe; a racing duplicate compile is wasted work but harmless
-    (compilation is deterministic, and ``setdefault`` keeps one winner).
+    Thread-safe; a racing duplicate compile (or parse) is wasted work but
+    harmless (both are deterministic, and ``setdefault`` keeps one winner).
     """
 
     def __init__(self, capacity=DEFAULT_CAPACITY):
@@ -96,11 +112,13 @@ class CompiledKernelCache:
         self.hits = 0
         self.misses = 0
         self._entries = OrderedDict()
+        self._programs = OrderedDict()   # source digest -> Program
         self._lock = threading.Lock()
 
     def get_or_compile(self, source, config=None, cost_model=None):
         """The :class:`~repro.engine.module.ModuleArtifact` for *source*
-        under *config*/*cost_model*, compiling (and transforming) on miss.
+        under the structure of *config* and *cost_model*, compiling (and
+        transforming) on miss.
         """
         key = codegen_cache_key(source, config, cost_model)
         with self._lock:
@@ -111,34 +129,59 @@ class CompiledKernelCache:
         if artifact is not None:
             _lookup_counter().inc(outcome="hit")
             return artifact
-        artifact = self._compile(source, config, cost_model)
+        artifact = self._compile(self._program(key[0], source), config,
+                                 cost_model)
         with self._lock:
             self.misses += 1
-            artifact = self._entries.setdefault(key, artifact)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+            artifact = self._keep(self._entries, key, artifact)
         _lookup_counter().inc(outcome="miss")
         return artifact
 
+    def _program(self, digest, source):
+        """*source* parsed, once per cache: :func:`~repro.transforms.transform`
+        clones its input and codegen only reads it, so one Program serves
+        every compile of the source."""
+        with self._lock:
+            program = self._programs.get(digest)
+            if program is not None:
+                self._programs.move_to_end(digest)
+                return program
+        program = parse(source)
+        with self._lock:
+            return self._keep(self._programs, digest, program)
+
+    def _keep(self, entries, key, value):
+        """Store *value* under *key* in LRU *entries* unless a racing
+        thread already did; returns the stored value. Caller holds the
+        lock."""
+        value = entries.setdefault(key, value)
+        entries.move_to_end(key)
+        while len(entries) > self.capacity:
+            entries.popitem(last=False)
+        return value
+
     @staticmethod
-    def _compile(source, config, cost_model):
+    def _compile(program, config, cost_model):
         if config is None:
-            return compile_artifact(source, None, cost_model)
+            return compile_artifact(program, None, cost_model)
         from ..transforms import transform
-        result = transform(source, config)
+        result = transform(program, config)
         return compile_artifact(result.program, result.meta, cost_model)
 
     def module(self, source, config=None, cost_model=None):
         """A fresh :class:`~repro.engine.module.Module` (private namespace,
-        zeroed globals) over the cached artifact for *source*."""
-        return Module.from_artifact(
-            self.get_or_compile(source, config, cost_model))
+        zeroed globals) over the cached artifact for *source*, bound to
+        *config*'s tuning values."""
+        artifact = self.get_or_compile(source, config, cost_model)
+        meta = config.bind(artifact.meta) if config is not None else None
+        return Module.from_artifact(artifact, meta)
 
     def clear(self):
-        """Drop every entry (counters keep accumulating)."""
+        """Drop every entry and parsed source (counters keep
+        accumulating)."""
         with self._lock:
             self._entries.clear()
+            self._programs.clear()
 
     def __len__(self):
         with self._lock:

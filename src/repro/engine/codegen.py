@@ -59,6 +59,12 @@ _tiz`` in place of ``_bix, _tix``. A ``dim3`` is passed by value: a
 function that rebinds a ``dim3`` parameter (a member store ``d.x = ...``
 included) copies it on entry, a block function once per thread, so
 neither the caller's value nor another thread's changes.
+
+A macro (the tuning values ``_THRESHOLD``, ``_CFACTOR``,
+``_AGG_GRANULARITY`` and ``_AGG_THRESHOLD``, the paper's ``-D``
+overrides) is read as the module global of its name, never folded into
+a literal: each :class:`~repro.engine.module.Module` binds its own values
+in its own namespace, so one compiled artifact serves every value.
 """
 
 from ..errors import CodegenError
@@ -846,7 +852,7 @@ class FunctionCodegen:
         if name == "warpSize":
             return "32"
         if name in self.macros:
-            return repr(int(self.macros[name]))
+            return name
         if name in self.info.global_scalars:
             return "g_%s[0]" % name
         if name in self.info.global_arrays:
@@ -1038,14 +1044,24 @@ class ProgramInfo:
                         self.global_scalars.add(var.name)
 
 
-def generate_module_source(program, macros=None, cost_model=None):
+def generate_module_source(program, macros=(), cost_model=None):
     """Python module source implementing every function of *program*.
 
-    Returns (source, kernel_info) where kernel_info maps kernel name to a
-    dict with 'has_barrier', 'multi_dim' and 'params' (list of (name,
-    Type)).
+    *macros* holds the names of the program's macros (a ``ModuleMeta``'s
+    ``macros`` dict will do): the code reads each as a module global of
+    that name, which every :class:`~repro.engine.module.Module` binds to
+    its own value. Returns (source, kernel_info) where kernel_info maps
+    kernel name to a dict with 'has_barrier', 'multi_dim' and 'params'
+    (list of (name, Type)).
     """
-    macros = macros or {}
+    for name in macros:
+        # Every name the generated code binds itself has a lower-case
+        # letter, but for the _D3 alias, so no other macro can clash.
+        if not name.isupper() or name == "_D3":
+            raise CodegenError(
+                "macro %r must be an upper-case name other than _D3: the "
+                "generated code reads it as a module global" % name)
+    macros = frozenset(macros)
     cost_model = cost_model or CostModel()
     info = ProgramInfo(program)
     chunks = [

@@ -167,9 +167,10 @@ def _execute_single(module, trace, kernel_name, grid_dim, block_dim, args,
     holds: ``run_grid`` copies the caller's, and a launch site builds fresh
     ones for each child."""
     kernel = module.kernel(kernel_name)
-    if grid_dim.total <= 0 or block_dim.total <= 0:
+    if min(grid_dim.x, grid_dim.y, grid_dim.z,
+           block_dim.x, block_dim.y, block_dim.z) <= 0:
         raise RuntimeLaunchError(
-            "launch of %r with empty configuration (%r, %r)"
+            "launch of %r with an empty or negative configuration (%r, %r)"
             % (kernel_name, grid_dim, block_dim))
 
     record = trace.new_grid(kernel_name, grid_dim.total, block_dim.total)

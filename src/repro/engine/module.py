@@ -7,8 +7,9 @@ Compilation is split in two so the expensive half can be memoized
   parse, Python codegen, ``compile()`` to a code object — and returns an
   immutable :class:`ModuleArtifact`;
 * :class:`Module` instantiates an artifact into a private namespace
-  (``exec`` of the cached code object plus fresh global cells), so two
-  Modules built from one artifact never share mutable state.
+  (``exec`` of the cached code object, its macro values and fresh global
+  cells), so two Modules built from one artifact never share mutable
+  state, and each may bind different tuning values.
 """
 
 from dataclasses import dataclass
@@ -51,8 +52,11 @@ class ModuleArtifact:
 
     Everything here is shareable across :class:`Module` instances (and
     threads): the AST and metadata are only read after construction, and
-    the code object is executed into a fresh namespace per Module. This
-    is what the compiled-kernel cache (:mod:`repro.engine.cache`) stores.
+    the code object is executed into a fresh namespace per Module. The
+    code reads the macros by name, so *meta*'s macro values (and its
+    aggregation group sizes) are only those of the compile: a Module may
+    bind others. This is what the compiled-kernel cache
+    (:mod:`repro.engine.cache`) stores.
     """
 
     program: ast.Program
@@ -75,22 +79,27 @@ def compile_artifact(source_or_program, meta=None, cost_model=None):
     else:
         program = parse(source_or_program)
     cost_model = cost_model or CostModel()
-    macros = dict(meta.macros) if meta is not None else {}
     python_source, kernel_info = generate_module_source(
-        program, macros, cost_model)
+        program, _macros(meta), cost_model)
     code = compile(python_source, "<minicuda-codegen>", "exec")
     return ModuleArtifact(program=program, meta=meta, cost_model=cost_model,
                           python_source=python_source, code=code,
                           kernel_info=kernel_info)
 
 
+def _macros(meta):
+    return meta.macros if meta is not None else {}
+
+
 class Module:
     """A compiled miniCUDA translation unit.
 
     ``meta`` is the :class:`~repro.transforms.base.ModuleMeta` produced by
-    the transformation pipeline (or None for untransformed code); its macro
-    values are baked into the generated Python as constants, mirroring the
-    paper's compile-time ``-D_THRESHOLD=...`` overrides.
+    the transformation pipeline (or None for untransformed code). Its macro
+    values, the paper's compile-time ``-D_THRESHOLD=...`` overrides, bind
+    at instantiation: the generated Python reads each macro as a global of
+    this Module's namespace, so Modules of one artifact may run with
+    different values (:meth:`from_artifact`).
     """
 
     def __init__(self, source_or_program, meta=None, cost_model=None,
@@ -99,11 +108,18 @@ class Module:
             artifact = compile_artifact(source_or_program, meta, cost_model)
         self.artifact = artifact
         self.program = artifact.program
-        self.meta = artifact.meta
+        self.meta = artifact.meta if meta is None else meta
         self.cost_model = artifact.cost_model
         self.python_source = artifact.python_source
         self.namespace = {}
         exec(artifact.code, self.namespace)
+        macros = _macros(self.meta)
+        if macros.keys() != _macros(artifact.meta).keys():
+            raise CodegenError(
+                "module binds the macros %s, but its code reads %s"
+                % (sorted(macros), sorted(_macros(artifact.meta))))
+        for name, value in macros.items():
+            self.namespace[name] = int(value)
         self._allocate_globals()
         self.kernels = {}
         for name, info in artifact.kernel_info.items():
@@ -113,10 +129,12 @@ class Module:
                 multi_dim=info["multi_dim"])
 
     @classmethod
-    def from_artifact(cls, artifact):
+    def from_artifact(cls, artifact, meta=None):
         """Instantiate a (possibly cached) :class:`ModuleArtifact` into a
-        fresh Module with its own namespace and zeroed globals."""
-        return cls(None, artifact=artifact)
+        fresh Module with its own namespace and zeroed globals, binding
+        the macro values and aggregation group sizes of *meta* (default:
+        the artifact's own), which must name the same macros."""
+        return cls(None, meta, artifact=artifact)
 
     def _allocate_globals(self):
         """File-scope __device__ variables become module-level Ptr cells."""

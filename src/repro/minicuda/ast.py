@@ -7,7 +7,6 @@ aggregation logic and ``"disagg"`` for disaggregation logic. The engine uses
 it to produce the Fig. 10 breakdown. Use :func:`region_of` to read it.
 """
 
-import copy
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -29,8 +28,23 @@ class Node:
     """Base class for all AST nodes."""
 
     def clone(self):
-        """Deep-copy this node (dynamic attributes such as region included)."""
-        return copy.deepcopy(self)
+        """Deep-copy this node (dynamic attributes such as region included).
+
+        Copied attribute by attribute: a Node is cloned, a list copied with
+        its Nodes cloned, and anything else (names, numbers, qualifier
+        tuples) is immutable and shared. The clone shares no Node with
+        this one.
+        """
+        new = object.__new__(type(self))
+        state = new.__dict__
+        for name, value in self.__dict__.items():
+            if isinstance(value, Node):
+                value = value.clone()
+            elif type(value) is list:
+                value = [item.clone() if isinstance(item, Node) else item
+                         for item in value]
+            state[name] = value
+        return new
 
     def children(self):
         """A list of every direct child Node (lists are flattened)."""

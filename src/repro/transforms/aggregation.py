@@ -65,6 +65,12 @@ GRANULARITIES = ("warp", "block", "multiblock", "grid")
 DEFAULT_GROUP_BLOCKS = 8
 
 
+def group_size(granularity, group_blocks):
+    """Parent blocks per aggregation group: one at block granularity, else
+    *group_blocks* (which only multi-block reads)."""
+    return 1 if granularity == "block" else group_blocks
+
+
 class _ReturnToBreak(_ReturnToContinue):
     """Thread-exit return → break out of the do-while wrapper."""
 
@@ -103,7 +109,7 @@ class AggregationPass:
                 "aggregation threshold requires warp or block granularity "
                 "(Sec. V-B); got %r" % granularity)
         self.granularity = granularity
-        self.group_blocks = 1 if granularity == "block" else group_blocks
+        self.group_blocks = group_size(granularity, group_blocks)
         self.agg_threshold = agg_threshold
 
     def run(self, program, allocator=None):

@@ -66,9 +66,7 @@ class CoarseningPass:
                     continue
                 coarsened[child.name] = gdim_param
                 meta.coarsened_kernels[child.name] = {
-                    "gdim_param": gdim_param,
-                    "factor": self.factor,
-                }
+                    "gdim_param": gdim_param}
             if coarsened[child.name] is None:
                 continue
             self._rewrite_site(site, allocator)

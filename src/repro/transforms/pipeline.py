@@ -18,10 +18,11 @@ from typing import Optional
 from ..analysis import NameAllocator
 from ..minicuda import parse
 from ..minicuda.ast import Program
-from .aggregation import DEFAULT_GROUP_BLOCKS, AggregationPass
+from .aggregation import (AGG_GRANULARITY_MACRO, AGG_THRESHOLD_MACRO,
+                          DEFAULT_GROUP_BLOCKS, AggregationPass, group_size)
 from .base import ModuleMeta, TransformResult
-from .coarsening import DEFAULT_CFACTOR, CoarseningPass
-from .thresholding import DEFAULT_THRESHOLD, ThresholdingPass
+from .coarsening import CFACTOR_MACRO, DEFAULT_CFACTOR, CoarseningPass
+from .thresholding import DEFAULT_THRESHOLD, THRESHOLD_MACRO, ThresholdingPass
 
 
 @dataclass(frozen=True)
@@ -38,6 +39,32 @@ class OptConfig:
     aggregate: Optional[str] = None          # granularity name or None
     group_blocks: int = DEFAULT_GROUP_BLOCKS
     agg_threshold: Optional[int] = None
+
+    @property
+    def structure(self):
+        """What the transformed program depends on: which passes run, the
+        aggregation granularity, and whether an aggregation threshold is
+        set. The tuning values (``threshold``, ``coarsen_factor``,
+        ``group_blocks``, ``agg_threshold``) are the paper's compile-time
+        macros, which change no program's shape: configs of one structure
+        transform to one program, and :meth:`bind` gives each its values.
+        """
+        return (self.threshold is not None, self.coarsen_factor is not None,
+                self.aggregate, self.agg_threshold is not None)
+
+    def bind(self, meta):
+        """A copy of *meta*, the :class:`ModuleMeta` of transforming any
+        config of this :attr:`structure`, with this config's tuning
+        values: its macros and every aggregated site's group size."""
+        values = {THRESHOLD_MACRO: self.threshold,
+                  CFACTOR_MACRO: self.coarsen_factor,
+                  AGG_GRANULARITY_MACRO: self.group_blocks,
+                  AGG_THRESHOLD_MACRO: self.agg_threshold}
+        return replace(
+            meta, macros={name: values[name] for name in meta.macros},
+            agg_specs=[replace(spec, group_blocks=group_size(
+                spec.granularity, self.group_blocks))
+                for spec in meta.agg_specs])
 
     @property
     def label(self):

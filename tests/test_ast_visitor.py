@@ -1,9 +1,26 @@
 """AST infrastructure tests: clone, walk, regions, visitors, builders."""
 
+import pytest
+
+from repro.benchmarks import all_benchmarks
 from repro.minicuda import ast, builders as b, parse, parse_expr, parse_stmt
 from repro.minicuda.ast import region_of, set_region
-from repro.minicuda.printer import print_expr, print_stmt
+from repro.minicuda.printer import print_expr, print_source, print_stmt
 from repro.minicuda.visitor import Transformer, Visitor, any_match, find_all
+from repro.transforms import OptConfig, transform
+
+
+def _programs(bench):
+    """*bench*'s parsed sources and its CDP source transformed by T+C+A
+    at every granularity and with an aggregation threshold."""
+    yield parse(bench.nocdp_source())
+    cdp = parse(bench.cdp_source())
+    yield cdp
+    for granularity in ("warp", "block", "multiblock", "grid"):
+        yield transform(cdp, OptConfig(threshold=64, coarsen_factor=8,
+                                       aggregate=granularity)).program
+    yield transform(cdp, OptConfig(threshold=64, aggregate="block",
+                                   agg_threshold=8)).program
 
 
 class TestNodeBasics:
@@ -35,6 +52,17 @@ class TestNodeBasics:
 
     def test_region_default_none(self):
         assert region_of(parse_stmt("x = 1;")) is None
+
+    @pytest.mark.parametrize("bench", all_benchmarks(),
+                             ids=lambda bench: bench.name)
+    def test_clone_of_every_program_is_whole_and_separate(self, bench):
+        for program in _programs(bench):
+            copy = program.clone()
+            assert print_source(copy) == print_source(program)
+            nodes, copies = list(program.walk()), list(copy.walk())
+            assert [region_of(n) for n in copies] == \
+                [region_of(n) for n in nodes]
+            assert not {id(n) for n in nodes} & {id(n) for n in copies}
 
 
 class TestVisitor:

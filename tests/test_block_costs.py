@@ -9,6 +9,9 @@ elsewhere; here every grid they run must keep its exact block costs,
 and incoming launch edge (``issue_offset`` included), in the form of
 :func:`~tests.test_timing_golden.encode_trace`. Each case pins the number
 of grids, their summed ``total_cycles`` and a SHA-256 of the encoded trace.
+The ``-8t-multiblock`` cases launch the barrier children's parents in
+8-thread blocks, so each multi-block group gathers several parent blocks;
+their group sizes share one compiled artifact.
 """
 
 import hashlib
@@ -17,7 +20,9 @@ import json
 import numpy as np
 import pytest
 
-from repro.engine import Dim3, Module, alloc_for_type, run_grid
+from repro.engine import (CompiledKernelCache, Dim3, Module, alloc_for_type,
+                          run_grid)
+from repro.harness import outputs_match
 from repro.minicuda import parse
 from repro.minicuda.ast import Type
 from repro.runtime import Device
@@ -93,6 +98,27 @@ def _segments(source, config):
     return test_shared_memory.run_segments(source, config)[1].trace
 
 
+#: One cache for every multi-block group size of the grouped cases.
+GROUPED_CACHE = CompiledKernelCache()
+
+#: Sources whose parents run in 8-thread blocks (5 parent blocks), so a
+#: multi-block group of 2 or 4 gathers several parent blocks' children.
+GROUPED_SOURCES = {"barrier-cdp": test_shared_memory.BARRIER_CDP_SRC,
+                   "mixed-blocks": test_shared_memory.MIXED_BLOCKS_SRC}
+
+
+def _grouped(source, config, cache=GROUPED_CACHE):
+    """``run_segments`` with 8-thread parent blocks through *cache*:
+    (outputs, device)."""
+    return test_shared_memory.run_segments(source, config, parent_threads=8,
+                                           cache=cache)
+
+
+def _multiblock(name, group):
+    return _grouped(GROUPED_SOURCES[name], OptConfig(
+        aggregate="multiblock", group_blocks=group))[1].trace
+
+
 def _promoted_jump():
     program = parse(test_promotion.RECURSIVE_SRC)
     meta = PromotionPass().run(program)
@@ -138,6 +164,10 @@ CASES = {
         OptConfig(aggregate="multiblock")),
     "mixed-blocks-grid": lambda: _segments(
         test_shared_memory.MIXED_BLOCKS_SRC, OptConfig(aggregate="grid")),
+    "barrier-cdp-8t-multiblock2": lambda: _multiblock("barrier-cdp", 2),
+    "barrier-cdp-8t-multiblock4": lambda: _multiblock("barrier-cdp", 4),
+    "mixed-blocks-8t-multiblock2": lambda: _multiblock("mixed-blocks", 2),
+    "mixed-blocks-8t-multiblock4": lambda: _multiblock("mixed-blocks", 4),
 }
 
 #: case -> (grids, summed total_cycles, SHA-256 of the encoded trace).
@@ -150,6 +180,10 @@ EXPECTED = {
         "87f22eadfb48d36c601b3e7cb9d84881af45513877e470cc886a1dfb5fdde982"),
     "barrier-cdp": (41, 1438965,
         "60b399c1fc20eb67c3a9e635503efe5519d8dd720a87e0ccb3e182350154e613"),
+    "barrier-cdp-8t-multiblock2": (4, 2028894,
+        "0b5f7f304a667e0bfc40afedb37761cd5c81b0c0263511a5391b66551cc0b7a9"),
+    "barrier-cdp-8t-multiblock4": (3, 2085367,
+        "c0894ec5a39d12ee22e7306740f056db8e71098f9a5963cc413c9cdaf3c6a59c"),
     "barrier-cdp-block": (2, 2152328,
         "d1fd9f23a8a370fdc90ec36143fe01916ba727f3e32dcf62436933db8294adf5"),
     "barrier-cdp-coarsen4": (41, 1494768,
@@ -164,6 +198,10 @@ EXPECTED = {
         "f152619bb297d9700b81e183cc570cdd4772684423106e39f493de51efed7d00"),
     "early-exit": (1, 84,
         "fab7b486356f02abfd3e23e969194aa2d18807941ce0505d3fb49b1c546b7be2"),
+    "mixed-blocks-8t-multiblock2": (4, 2075547,
+        "d09fc3e73c0264e6e23a90dd83b30fcddaf7b329ed7a16cc3e6041f4b5bce7ca"),
+    "mixed-blocks-8t-multiblock4": (3, 2136052,
+        "223ea3a57382fd85c38324f1a2f9987418ea5466ca41088a9dad374cc6a78a02"),
     "mixed-blocks-block": (2, 2208333,
         "43f2df9dc95b3d531681a6c9c7dc687dd3f8c176644c8fc9dfb8087bbf14566b"),
     "mixed-blocks-grid": (2, 2198581,
@@ -190,3 +228,33 @@ def fingerprint(trace):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_block_costs_pinned(case):
     assert fingerprint(CASES[case]()) == EXPECTED[case]
+
+
+@pytest.mark.parametrize("name", sorted(GROUPED_SOURCES))
+@pytest.mark.parametrize("group", (2, 4))
+def test_grouped_children_span_parent_blocks(name, group):
+    """A multi-block group gathers the children of several parent blocks:
+    it computes CDP's outputs, with a trace unlike block granularity's."""
+    source = GROUPED_SOURCES[name]
+    reference, _ = _grouped(source, None)
+    outputs, dev = _grouped(source, OptConfig(aggregate="multiblock",
+                                              group_blocks=group))
+    assert outputs_match(reference, outputs, rtol=1e-9)
+    _, block = _grouped(source, OptConfig(aggregate="block"))
+    assert fingerprint(dev.trace)[2] != fingerprint(block.trace)[2]
+
+
+@pytest.mark.parametrize("name", sorted(GROUPED_SOURCES))
+def test_group_sizes_share_one_artifact(name):
+    """Group sizes differ only in the ``_AGG_GRANULARITY`` value, so the
+    group-2 and group-4 runs instantiate one cached artifact and keep
+    their pinned traces. Group 4 compiles it, so group 2 runs only if it
+    sizes its buffers for its own 3 groups, not the compiler's 2."""
+    cache = CompiledKernelCache()
+    devices = {group: _grouped(GROUPED_SOURCES[name], OptConfig(
+        aggregate="multiblock", group_blocks=group), cache)[1]
+        for group in (4, 2)}
+    assert devices[4].module.artifact is devices[2].module.artifact
+    for group, dev in devices.items():
+        assert fingerprint(dev.trace) == \
+            EXPECTED["%s-8t-multiblock%d" % (name, group)]

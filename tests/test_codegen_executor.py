@@ -347,6 +347,29 @@ class TestLaunches:
         with pytest.raises(RuntimeLaunchError):
             run(src, "k", 0, 32, alloc_for_type(Type("int"), 1))
 
+    @pytest.mark.parametrize("grid, block", [
+        (Dim3(-2, -1), Dim3(4)), (Dim3(2), Dim3(-4, -1))],
+        ids=["grid", "block"])
+    def test_negative_launch_dimension_rejected(self, grid, block):
+        """A negative component is an invalid launch even when the
+        product of the components is positive."""
+        module = Module("__global__ void k(int *p) { p[0] = 1; }")
+        dev = Device(module)
+        with pytest.raises(RuntimeLaunchError):
+            dev.launch("k", grid, block, dev.alloc("int", 1))
+        assert dev.trace.grids == []
+        assert dev.trace.host_events == []
+
+    def test_negative_device_launch_rejected(self):
+        src = """
+        __global__ void child(int *p) { p[0] = 1; }
+        __global__ void parent(int *p, int n) {
+            child<<<dim3(-n, -1), 4>>>(p);
+        }
+        """
+        with pytest.raises(RuntimeLaunchError):
+            run(src, "parent", 1, 1, alloc_for_type(Type("int"), 1), 2)
+
 
 class TestCostAccounting:
     def test_cycles_positive_and_scale_with_work(self):
@@ -708,6 +731,25 @@ class TestCodegenErrors:
         trace = Trace()
         run_grid(module, trace, "k", Dim3(1), Dim3(1), (out,))
         assert out[0] == 42
+
+    @pytest.mark.parametrize("name", ["n", "_c", "_D3"])
+    def test_macro_that_could_clash_rejected(self, name):
+        """Macros are read as module globals, so a name the generated
+        code could bind itself (a local, a helper) is refused."""
+        from repro.transforms.base import ModuleMeta
+        with pytest.raises(CodegenError, match="upper-case"):
+            Module("__global__ void k(int *p) { p[0] = %s; }" % name,
+                   ModuleMeta(macros={name: 1}))
+
+    def test_module_must_bind_every_macro_its_code_reads(self):
+        from repro.transforms.base import ModuleMeta
+        module = Module("__global__ void k(int *p) { p[0] = MYSTERY; }",
+                        ModuleMeta(macros={"MYSTERY": 42}))
+        assert Module.from_artifact(
+            module.artifact,
+            ModuleMeta(macros={"MYSTERY": 7})).namespace["MYSTERY"] == 7
+        with pytest.raises(CodegenError, match="MYSTERY"):
+            Module.from_artifact(module.artifact, ModuleMeta())
 
     def test_local_array_per_thread(self):
         src = """

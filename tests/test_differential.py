@@ -11,9 +11,12 @@ child launch must serialize every child: zero device launches. And
 aggregation never adds device launches: an aggregating label makes at
 most as many as the same params under the label without ``+A``. Params
 that differ only in components a label does not use mask to one cache
-key and compute one result.
+key and compute one result. A Module of a compiled artifact that other
+tuning values compiled computes what a fresh compile of its own values
+does.
 """
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -21,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.benchmarks import FIG9_PAIRS, get_benchmark
+from repro.engine import CompiledKernelCache, Module
 from repro.harness.runner import child_launch_sizes, run_variant
 from repro.harness.sweep import SweepPoint
 from repro.harness.tuning import (DEFAULT_CFACTORS, DEFAULT_GROUP_BLOCKS,
@@ -28,6 +32,7 @@ from repro.harness.tuning import (DEFAULT_CFACTORS, DEFAULT_GROUP_BLOCKS,
 from repro.harness.variants import (ALL_GRANULARITIES, KLAP_GRANULARITIES,
                                     VARIANT_LABELS, TuningParams,
                                     mask_params, uses)
+from repro.transforms import transform
 
 SCALE = 0.05
 
@@ -140,3 +145,57 @@ def test_masking_equivalent_params_share_key_and_result(pairs, data):
     for result in results:
         del result["params"]
     assert results[0] == results[1]
+
+
+#: Every label with a tuning value, with each granularity it may use.
+LABEL_GRANULARITIES = [
+    (label, granularity) for label in VARIANT_LABELS if label != "No CDP"
+    and label != "CDP"
+    for granularity in (
+        (KLAP_GRANULARITIES if label == "KLAP (CDP+A)" else ALL_GRANULARITIES)
+        if uses(label, "A") else (None,))]
+
+#: The compiled-kernel cache the bound-at-instantiate runs share.
+SHARED_KERNELS = CompiledKernelCache()
+
+
+def uncached_module(source, config=None, cost_model=None):
+    """A fresh compile of *source* under *config*, values and all."""
+    if config is None:
+        return Module(source, cost_model=cost_model)
+    result = transform(source, config)
+    return Module(result.program, result.meta, cost_model)
+
+
+@pytest.mark.parametrize("label, granularity", LABEL_GRANULARITIES)
+def test_warm_artifact_binds_values_like_a_fresh_compile(
+        pairs, monkeypatch, label, granularity):
+    """On one pair, two tuning points of one structure drawn from the
+    tuner's spaces: the second instantiates the artifact the first
+    compiled, and its result and outputs equal a fresh, uncached
+    compile's."""
+    bench, dataset, _, _, thresholds = pairs(FIG9_PAIRS[0])
+    rng = random.Random("%s|%s" % (label, granularity))
+
+    def two(space):
+        return rng.sample(space, 2) if len(space) > 1 else list(space) * 2
+
+    first, second = (
+        mask_params(label, TuningParams(threshold, cfactor, granularity,
+                                        group))
+        for threshold, cfactor, group in zip(
+            two(thresholds), two(DEFAULT_CFACTORS),
+            two(DEFAULT_GROUP_BLOCKS)))
+    monkeypatch.setattr("repro.engine.cache.KERNEL_CACHE", SHARED_KERNELS)
+    run_variant(bench, dataset, label, first)
+    misses = SHARED_KERNELS.stats()["misses"]
+    warm = run_variant(bench, dataset, label, second, keep_outputs=True)
+    assert SHARED_KERNELS.stats()["misses"] == misses
+    monkeypatch.setattr("repro.benchmarks.common.compiled_module",
+                        uncached_module)
+    fresh = run_variant(bench, dataset, label, second, keep_outputs=True)
+    assert warm.to_dict() == fresh.to_dict()
+    assert warm.outputs.keys() == fresh.outputs.keys()
+    for name, values in fresh.outputs.items():
+        assert warm.outputs[name].dtype == values.dtype
+        assert (warm.outputs[name] == values).all()

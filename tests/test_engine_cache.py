@@ -1,14 +1,17 @@
 """Compiled-kernel cache tests (repro.engine.cache).
 
-Covers the memoization contract (same source+config+cost model → one
-compile), instantiation isolation (cached artifacts never share mutable
-state), key sensitivity (source, transform config, cost model, and the
-shared version token all discriminate), the CACHE_VERSION invalidation
-contract with the on-disk result cache, LRU bounding, and the metrics
-counter the serve endpoint exports.
+Covers the memoization contract (same source + config structure + cost
+model → one compile, whatever the tuning values), instantiation isolation
+(cached artifacts never share mutable state, and each Module binds its
+own values), key sensitivity (source, transform structure, cost model,
+and the shared version token all discriminate), one parse per source, the
+CACHE_VERSION invalidation contract with the on-disk result cache, LRU
+bounding, and the metrics counter the serve endpoint exports.
 """
 
+import sys
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -111,11 +114,132 @@ class TestMemoization:
         assert len({id(a) for a in artifacts}) == 1
 
 
+class TestStructureKey:
+    """Configs that differ only in tuning values share one artifact; each
+    Module of it binds its own values."""
+
+    MULTIBLOCK = OptConfig(threshold=32, coarsen_factor=4,
+                           aggregate="multiblock", group_blocks=4)
+    AGG_THRESHOLD = OptConfig(threshold=32, aggregate="block",
+                              agg_threshold=8)
+
+    @pytest.mark.parametrize("base, change", [
+        (MULTIBLOCK, {"threshold": 64}),
+        (MULTIBLOCK, {"coarsen_factor": 8}),
+        (MULTIBLOCK, {"group_blocks": 2}),
+        (AGG_THRESHOLD, {"agg_threshold": 16})],
+        ids=["threshold", "coarsen_factor", "group_blocks", "agg_threshold"])
+    def test_tuning_values_share_one_artifact(self, base, change):
+        cache = CompiledKernelCache()
+        first = cache.get_or_compile(BFS_LIKE_SRC, base)
+        assert cache.get_or_compile(BFS_LIKE_SRC,
+                                    replace(base, **change)) is first
+        assert cache.stats()["misses"] == 1
+
+    @pytest.mark.parametrize("base, change", [
+        (MULTIBLOCK, {"threshold": None}),
+        (MULTIBLOCK, {"coarsen_factor": None}),
+        (MULTIBLOCK, {"aggregate": "block"}),
+        (MULTIBLOCK, {"aggregate": "grid"}),
+        (AGG_THRESHOLD, {"aggregate": "warp"}),
+        (AGG_THRESHOLD, {"agg_threshold": None})],
+        ids=["T-off", "C-off", "block", "grid", "warp", "agg_threshold-unset"])
+    def test_structural_differences_compile_apart(self, base, change):
+        cache = CompiledKernelCache()
+        first = cache.get_or_compile(BFS_LIKE_SRC, base)
+        assert cache.get_or_compile(BFS_LIKE_SRC,
+                                    replace(base, **change)) is not first
+        assert cache.stats()["misses"] == 2
+
+    def test_each_module_binds_its_callers_values(self):
+        cache = CompiledKernelCache()
+        small, large = (cache.module(BFS_LIKE_SRC, replace(
+            self.MULTIBLOCK, threshold=threshold, group_blocks=group))
+            for threshold, group in ((16, 2), (64, 8)))
+        assert small.artifact is large.artifact
+        for module, threshold, group in ((small, 16, 2), (large, 64, 8)):
+            assert module.namespace["_THRESHOLD"] == threshold
+            assert module.namespace["_CFACTOR"] == 4
+            assert module.namespace["_AGG_GRANULARITY"] == group
+            assert module.meta.macros == {"_THRESHOLD": threshold,
+                                          "_CFACTOR": 4,
+                                          "_AGG_GRANULARITY": group}
+            assert [spec.group_blocks for spec in module.meta.agg_specs] \
+                == [group]
+
+    def test_source_parses_once_until_clear(self, monkeypatch):
+        from repro.engine import cache as cache_mod
+        real_parse = cache_mod.parse
+        parses = []
+
+        def counting_parse(source):
+            parses.append(source)
+            return real_parse(source)
+
+        monkeypatch.setattr(cache_mod, "parse", counting_parse)
+        cache = CompiledKernelCache()
+        for config in (None, OptConfig(threshold=64),
+                       OptConfig(aggregate="grid")):
+            cache.get_or_compile(BFS_LIKE_SRC, config)
+        assert len(parses) == 1
+        cache.clear()
+        assert len(cache) == 0
+        cache.get_or_compile(BFS_LIKE_SRC, OptConfig(threshold=64))
+        assert len(parses) == 2
+
+    def test_concurrent_modules_of_one_artifact_keep_their_values(
+            self, monkeypatch):
+        """Threads run Modules of one artifact with different thresholds
+        at once; each gets its single-threaded result."""
+        from repro.benchmarks import get_benchmark
+        from repro.harness import run_variant
+
+        kernels = CompiledKernelCache()
+        monkeypatch.setattr("repro.engine.cache.KERNEL_CACHE", kernels)
+        bench = get_benchmark("BFS")
+        data = bench.build_dataset("KRON", 0.05)
+        thresholds = (2, 8, 64, 4096)
+
+        def run(threshold):
+            return run_variant(bench, data, "CDP+T",
+                               TuningParams(threshold=threshold),
+                               keep_outputs=True)
+
+        alone = {t: run(t) for t in thresholds}
+        assert alone[2].device_launches > alone[4096].device_launches == 0
+        together = {}
+        start = threading.Barrier(len(thresholds))
+
+        def worker(threshold):
+            start.wait(timeout=30)
+            together[threshold] = run(threshold)
+
+        threads = [threading.Thread(target=worker, args=(t,))
+                   for t in thresholds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert kernels.stats()["misses"] == 1
+        for t in thresholds:
+            assert together[t].to_dict() == alone[t].to_dict()
+            assert together[t].outputs.keys() == alone[t].outputs.keys()
+            for name, values in alone[t].outputs.items():
+                assert (together[t].outputs[name] == values).all()
+
+
 class TestVersionToken:
     def test_key_embeds_config_and_versions(self, monkeypatch):
         config = OptConfig(threshold=32)
         key = codegen_cache_key(SIMPLE_SRC, config)
-        assert config in key
+        assert config.structure in key
+        assert config not in key
         from repro import __version__
         assert (__version__, result_cache_mod.CACHE_VERSION) in key
         monkeypatch.setattr(result_cache_mod, "CACHE_VERSION",

@@ -136,10 +136,14 @@ __global__ void parent(float *data, float *out, int *offs, int nseg) {
 """
 
 
-def run_segments(source, config):
+def run_segments(source, config, parent_threads=64, cache=None):
     """Run *source*'s ``parent`` over 40 random segments, transformed by
-    *config* (None: plain CDP). Returns (outputs, device)."""
-    if config is None:
+    *config* (None: plain CDP) and compiled through *cache* if given. The
+    parents launch in blocks of *parent_threads*: the default puts all 40
+    in one block, 8 spreads them over 5. Returns (outputs, device)."""
+    if cache is not None:
+        module = cache.module(source, config)
+    elif config is None:
         module = Module(source)
     else:
         result = transform(source, config)
@@ -153,7 +157,8 @@ def run_segments(source, config):
     data = dev.upload(rng.random(int(offs[-1]) + 1))
     out = dev.alloc("float", 256)
     d_offs = dev.upload(offs)
-    dev.launch("parent", blocks(nseg, 64), 64, data, out, d_offs, nseg)
+    dev.launch("parent", blocks(nseg, parent_threads), parent_threads,
+               data, out, d_offs, nseg)
     dev.sync()
     dev.finish()
     return {"out": out.to_numpy()}, dev
