@@ -34,9 +34,6 @@ class SATInstance:
     def num_literals(self):
         return len(self.clause_lits)
 
-    def var_degree(self, var):
-        return int(self.var_row[var + 1] - self.var_row[var])
-
     def __repr__(self):
         return "SATInstance(%s: %d vars, %d clauses, %d literals)" % (
             self.name, self.num_vars, self.num_clauses, self.num_literals)

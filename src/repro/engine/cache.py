@@ -21,6 +21,18 @@ artifacts, and a transform clones it. Instantiation keeps runs isolated:
 two Modules built from one artifact share no mutable state, so the cache
 is safe under the serve miss scheduler's worker threads.
 
+Within a compile, each generated function is ``compile()``d once per
+cache: the cache keeps a bounded LRU memo of code objects keyed by each
+chunk's exact text (the imports, or one function: see
+:func:`~repro.engine.codegen.generate_module_source`), and an artifact
+holds the tuple of its chunks' code objects. Structures of one source
+mostly differ in their parents, so they share their children's code: a
+tune-tca pass of the repository benchmark generates 138 function chunks
+in 39 structures, but only 74 distinct ones. Like numbapro's
+``_device_functions``, the memo holds compiled functions one by one, not
+one per translation unit. :meth:`CompiledKernelCache.clear` empties it
+with the entries, so a cleared cache compiles every function again.
+
 The key deliberately embeds the same version token as the on-disk result
 cache (``repro.__version__`` plus ``harness.cache.CACHE_VERSION``): one
 ``CACHE_VERSION`` bump invalidates result entries *and* compiled kernels
@@ -38,10 +50,10 @@ import threading
 from collections import OrderedDict
 
 from ..minicuda import parse
-from .module import Module, compile_artifact
+from .module import Module, compile_artifact, compile_chunk
 
 __all__ = ["CompiledKernelCache", "KERNEL_CACHE", "compiled_module",
-           "codegen_cache_key", "DEFAULT_CAPACITY"]
+           "codegen_cache_key", "DEFAULT_CAPACITY", "FUNCTIONS_PER_ENTRY"]
 
 #: Entries kept per cache, and parsed sources kept. An entry is one
 #: structure of one source, and a benchmark has 29: No CDP, CDP, T, C,
@@ -50,6 +62,12 @@ __all__ = ["CompiledKernelCache", "KERNEL_CACHE", "compiled_module",
 #: threshold; multi-block; grid). 256 hold all 203 of the seven
 #: benchmarks, with room for other sources.
 DEFAULT_CAPACITY = 256
+
+#: Function code objects kept per entry of capacity: the memo of a cache
+#: holds at most ``FUNCTIONS_PER_ENTRY * capacity`` chunks (1,024 by
+#: default). The 203 structures of the seven benchmarks have 833 chunks,
+#: about four each, of which 239 are distinct.
+FUNCTIONS_PER_ENTRY = 4
 
 _LOOKUPS = None
 _LOCK = threading.Lock()
@@ -101,7 +119,9 @@ def codegen_cache_key(source, config=None, cost_model=None):
 
 class CompiledKernelCache:
     """Bounded LRU memo of :class:`~repro.engine.module.ModuleArtifact`,
-    plus the parsed Program of each source it compiled.
+    plus the parsed Program of each source it compiled and the code
+    object of each function it generated (at most
+    :attr:`function_capacity` of them).
 
     Thread-safe; a racing duplicate compile (or parse) is wasted work but
     harmless (both are deterministic, and ``setdefault`` keeps one winner).
@@ -109,10 +129,12 @@ class CompiledKernelCache:
 
     def __init__(self, capacity=DEFAULT_CAPACITY):
         self.capacity = max(1, int(capacity))
+        self.function_capacity = FUNCTIONS_PER_ENTRY * self.capacity
         self.hits = 0
         self.misses = 0
         self._entries = OrderedDict()
         self._programs = OrderedDict()   # source digest -> Program
+        self._functions = OrderedDict()  # chunk text -> code object
         self._lock = threading.Lock()
 
     def get_or_compile(self, source, config=None, cost_model=None):
@@ -133,7 +155,8 @@ class CompiledKernelCache:
                                  cost_model)
         with self._lock:
             self.misses += 1
-            artifact = self._keep(self._entries, key, artifact)
+            artifact = self._keep(self._entries, key, artifact,
+                                  self.capacity)
         _lookup_counter().inc(outcome="miss")
         return artifact
 
@@ -148,25 +171,41 @@ class CompiledKernelCache:
                 return program
         program = parse(source)
         with self._lock:
-            return self._keep(self._programs, digest, program)
+            return self._keep(self._programs, digest, program,
+                              self.capacity)
 
-    def _keep(self, entries, key, value):
-        """Store *value* under *key* in LRU *entries* unless a racing
-        thread already did; returns the stored value. Caller holds the
-        lock."""
+    def _function_code(self, text):
+        """The code object of one chunk of generated source (a function,
+        or the module header), compiled once per exact text."""
+        with self._lock:
+            code = self._functions.get(text)
+            if code is not None:
+                self._functions.move_to_end(text)
+                return code
+        code = compile_chunk(text)
+        with self._lock:
+            return self._keep(self._functions, text, code,
+                              self.function_capacity)
+
+    @staticmethod
+    def _keep(entries, key, value, capacity):
+        """Store *value* under *key* in LRU *entries*, holding at most
+        *capacity*, unless a racing thread already did; returns the stored
+        value. Caller holds the lock."""
         value = entries.setdefault(key, value)
         entries.move_to_end(key)
-        while len(entries) > self.capacity:
+        while len(entries) > capacity:
             entries.popitem(last=False)
         return value
 
-    @staticmethod
-    def _compile(program, config, cost_model):
+    def _compile(self, program, config, cost_model):
         if config is None:
-            return compile_artifact(program, None, cost_model)
+            return compile_artifact(program, None, cost_model,
+                                    self._function_code)
         from ..transforms import transform
         result = transform(program, config)
-        return compile_artifact(result.program, result.meta, cost_model)
+        return compile_artifact(result.program, result.meta, cost_model,
+                                self._function_code)
 
     def module(self, source, config=None, cost_model=None):
         """A fresh :class:`~repro.engine.module.Module` (private namespace,
@@ -177,15 +216,21 @@ class CompiledKernelCache:
         return Module.from_artifact(artifact, meta)
 
     def clear(self):
-        """Drop every entry and parsed source (counters keep
-        accumulating)."""
+        """Drop every entry, parsed source and function code object
+        (counters keep accumulating)."""
         with self._lock:
             self._entries.clear()
             self._programs.clear()
+            self._functions.clear()
 
     def __len__(self):
         with self._lock:
             return len(self._entries)
+
+    def function_count(self):
+        """How many function code objects the memo holds."""
+        with self._lock:
+            return len(self._functions)
 
     def stats(self):
         """JSON-able hit/miss/size snapshot (the repository benchmark and

@@ -65,6 +65,13 @@ A macro (the tuning values ``_THRESHOLD``, ``_CFACTOR``,
 overrides) is read as the module global of its name, never folded into
 a literal: each :class:`~repro.engine.module.Module` binds its own values
 in its own namespace, so one compiled artifact serves every value.
+
+A module's source comes in chunks (:func:`generate_module_source`): the
+imports, then one chunk per function (a barrier kernel's ``k_`` and
+``b_`` together), each compiled to its own code object, so structures
+that share a function share its compile (:mod:`repro.engine.cache`). A
+traceback through generated code therefore counts its line numbers from
+the start of the function's chunk, not of the module.
 """
 
 from ..errors import CodegenError
@@ -143,6 +150,7 @@ class _Facts:
         self.has_launch = False
         self.calls_device = False
         self.reads_thread = False  # reads threadIdx
+        self.multi_dim = False    # reads a y or z thread or block index
         self.returns = False
         self.calls = set()        # names of the functions called
         self.names = set()        # every identifier
@@ -179,9 +187,13 @@ class _Facts:
                     elif name in _ATOMIC_METHODS and node.args:
                         self._atomic_target(node.args[0])
                 elif kind is ast.Member:
-                    if (type(node.obj) is ast.Ident
-                            and node.obj.name == "threadIdx"):
-                        self.reads_thread = True
+                    obj = node.obj
+                    if type(obj) is ast.Ident:
+                        if obj.name == "threadIdx":
+                            self.reads_thread = True
+                        if (node.attr in ("y", "z")
+                                and obj.name in ("threadIdx", "blockIdx")):
+                            self.multi_dim = True
                 elif kind is ast.VarDecl:
                     self.decls.append(node)
                     self.rebound.add(node.name)
@@ -201,6 +213,7 @@ class _Facts:
         joined.has_launch = self.has_launch or other.has_launch
         joined.calls_device = self.calls_device or other.calls_device
         joined.reads_thread = self.reads_thread or other.reads_thread
+        joined.multi_dim = self.multi_dim or other.multi_dim
         joined.returns = self.returns or other.returns
         joined.calls = self.calls | other.calls
         joined.names = self.names | other.names
@@ -248,16 +261,14 @@ def _prologue_length(func):
 class FunctionCodegen:
     """Generate Python source for one miniCUDA function."""
 
-    def __init__(self, func, program_info, cost_model, macros):
+    def __init__(self, func, program_info, cost_model, macros, body):
         self.func = func
         self.info = program_info      # ProgramInfo: names of funcs/globals
         self.cm = cost_model
         self.macros = macros
         self.lines = []
         stmts = func.body.stmts
-        split = _prologue_length(func)
-        head = _Facts(stmts[:split], program_info.functions)
-        thread = _Facts(stmts[split:], program_info.functions)
+        split, head, thread = body    # ProgramInfo.bodies' facts of func
         self.facts = facts = head.union(thread) if split else thread
         self.types = {p.name: p.type for p in func.params}
         for decl in facts.decls:
@@ -1011,17 +1022,38 @@ class FunctionCodegen:
 
 
 class ProgramInfo:
-    """Name environment shared by all functions of one program."""
+    """Name environment shared by all functions of one program, and the
+    facts of each function body, found in one walk of it."""
 
     def __init__(self, program):
         self.functions = {f.name for f in program.functions()
                           if f.body is not None}
-        self.multi_dim = any(
-            isinstance(node, ast.Member)
-            and isinstance(node.obj, ast.Ident)
-            and node.obj.name in ("threadIdx", "blockIdx")
-            and node.attr in ("y", "z")
-            for node in program.walk())
+        self.kernels = {f.name for f in program.kernels()}
+        self.global_scalars = set()
+        self.global_arrays = set()
+        file_scope = []
+        for decl in program.decls:
+            if isinstance(decl, ast.DeclStmt):
+                file_scope.append(decl)
+                for var in decl.decls:
+                    if var.array_size is not None or var.type.pointers > 0:
+                        self.global_arrays.add(var.name)
+                    else:
+                        self.global_scalars.add(var.name)
+        # Per function with a body: (func, (prologue length, the
+        # prologue's facts, the facts of the rest)).
+        self.bodies = []
+        multi_dim = _Facts(file_scope, ()).multi_dim
+        for func in program.functions():
+            if func.body is None:
+                continue
+            stmts = func.body.stmts
+            split = _prologue_length(func)
+            head = _Facts(stmts[:split], self.functions)
+            thread = _Facts(stmts[split:], self.functions)
+            multi_dim = multi_dim or head.multi_dim or thread.multi_dim
+            self.bodies.append((func, (split, head, thread)))
+        self.multi_dim = multi_dim
         # The index arguments of every k_ and f_ call, a block function's
         # block argument and its thread loop target (one of _tixs). A
         # program that never reads the y/z indices gets the compact 1-D
@@ -1032,27 +1064,33 @@ class ProgramInfo:
         else:
             self.ctx_args = "_bix, _tix, _gdim, _bdim"
             self.block, self.thread = "_bix", "_tix"
-        self.kernels = {f.name for f in program.kernels()}
-        self.global_scalars = set()
-        self.global_arrays = set()
-        for decl in program.decls:
-            if isinstance(decl, ast.DeclStmt):
-                for var in decl.decls:
-                    if var.array_size is not None or var.type.pointers > 0:
-                        self.global_arrays.add(var.name)
-                    else:
-                        self.global_scalars.add(var.name)
+
+
+#: The first chunk of every generated module: the names its functions read.
+MODULE_HEADER = "\n".join([
+    "import math as _m",
+    "from repro.engine.values import Dim3 as _D3, Ptr as _Ptr",
+    "from repro.engine.builtins import (c_div as _div, c_mod as _mod,"
+    " local_array as _local_array, identity as _identity,"
+    " rotate as _rotate, %s)"
+    % ", ".join("%s as _%s" % (method, method)
+                for method in _ATOMIC_METHODS.values()),
+    ""])
 
 
 def generate_module_source(program, macros=(), cost_model=None):
-    """Python module source implementing every function of *program*.
+    """Python module source implementing every function of *program*, as
+    chunks: :data:`MODULE_HEADER`, then one chunk per function with a body
+    (a barrier kernel's chunk holds its ``k_`` and its ``b_``).
+    ``"\\n".join(chunks)`` is the module's source, and each chunk compiles
+    on its own.
 
     *macros* holds the names of the program's macros (a ``ModuleMeta``'s
     ``macros`` dict will do): the code reads each as a module global of
     that name, which every :class:`~repro.engine.module.Module` binds to
-    its own value. Returns (source, kernel_info) where kernel_info maps
-    kernel name to a dict with 'has_barrier', 'multi_dim' and 'params'
-    (list of (name, Type)).
+    its own value. Returns (chunks, kernel_info) where chunks is a tuple
+    of strings and kernel_info maps kernel name to a dict with
+    'has_barrier', 'multi_dim' and 'params' (list of (name, Type)).
     """
     for name in macros:
         # Every name the generated code binds itself has a lower-case
@@ -1064,27 +1102,15 @@ def generate_module_source(program, macros=(), cost_model=None):
     macros = frozenset(macros)
     cost_model = cost_model or CostModel()
     info = ProgramInfo(program)
-    chunks = [
-        "import math as _m",
-        "from repro.engine.values import Dim3 as _D3, Ptr as _Ptr",
-        "from repro.engine.builtins import (c_div as _div, c_mod as _mod,"
-        " local_array as _local_array, identity as _identity,"
-        " rotate as _rotate, %s)"
-        % ", ".join("%s as _%s" % (method, method)
-                    for method in _ATOMIC_METHODS.values()),
-        "",
-    ]
+    chunks = [MODULE_HEADER]
     kernel_info = {}
-    for func in program.functions():
-        if func.body is None:
-            continue
-        generator = FunctionCodegen(func, info, cost_model, macros)
-        chunks.append(generator.generate())
-        chunks.append("")
+    for func, body in info.bodies:
+        generator = FunctionCodegen(func, info, cost_model, macros, body)
+        chunks.append(generator.generate() + "\n")
         if func.is_kernel:
             kernel_info[func.name] = {
                 "has_barrier": generator.has_barrier,
                 "multi_dim": info.multi_dim,
                 "params": [(p.name, p.type) for p in func.params],
             }
-    return "\n".join(chunks), kernel_info
+    return tuple(chunks), kernel_info

@@ -4,17 +4,17 @@ Compilation is split in two so the expensive half can be memoized
 (:mod:`repro.engine.cache`):
 
 * :func:`compile_artifact` does everything deterministic and shareable —
-  parse, Python codegen, ``compile()`` to a code object — and returns an
-  immutable :class:`ModuleArtifact`;
+  parse, Python codegen, ``compile()`` of each generated function to its
+  own code object — and returns an immutable :class:`ModuleArtifact`;
 * :class:`Module` instantiates an artifact into a private namespace
-  (``exec`` of the cached code object, its macro values and fresh global
+  (``exec`` of each cached code object, its macro values and fresh global
   cells), so two Modules built from one artifact never share mutable
   state, and each may bind different tuning values.
 """
 
 from dataclasses import dataclass
 from types import CodeType
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..errors import CodegenError
 from ..minicuda import ast, parse
@@ -52,38 +52,51 @@ class ModuleArtifact:
 
     Everything here is shareable across :class:`Module` instances (and
     threads): the AST and metadata are only read after construction, and
-    the code object is executed into a fresh namespace per Module. The
-    code reads the macros by name, so *meta*'s macro values (and its
-    aggregation group sizes) are only those of the compile: a Module may
-    bind others. This is what the compiled-kernel cache
-    (:mod:`repro.engine.cache`) stores.
+    *code* holds one code object per chunk of the generated source (the
+    imports, then each function: see
+    :func:`~repro.engine.codegen.generate_module_source`), each executed
+    into a fresh namespace per Module. Artifacts of one cache share the
+    code object of a function they have in common. The code reads the
+    macros by name, so *meta*'s macro values (and its aggregation group
+    sizes) are only those of the compile: a Module may bind others. This
+    is what the compiled-kernel cache (:mod:`repro.engine.cache`) stores.
     """
 
     program: ast.Program
     meta: Optional[object]            # transforms.ModuleMeta or None
     cost_model: CostModel
-    python_source: str
-    code: CodeType
+    python_source: str                # the chunks, joined by newlines
+    code: Tuple[CodeType, ...]        # one per chunk, in order
     kernel_info: dict                 # kernel name -> codegen facts
 
 
-def compile_artifact(source_or_program, meta=None, cost_model=None):
+def compile_chunk(text):
+    """The code object of one chunk of generated source. A traceback
+    through it counts lines from the start of its function."""
+    return compile(text, "<minicuda-codegen>", "exec")
+
+
+def compile_artifact(source_or_program, meta=None, cost_model=None,
+                     compile_chunk=compile_chunk):
     """Parse (if needed) and transpile one translation unit.
 
     This is the expensive, re-usable half of module compilation: the
     returned :class:`ModuleArtifact` carries no mutable run state and may
-    back any number of :class:`Module` instances.
+    back any number of :class:`Module` instances. Each chunk of the
+    generated source becomes a code object through *compile_chunk*; the
+    compiled-kernel cache passes its memo, which compiles each distinct
+    function once.
     """
     if isinstance(source_or_program, ast.Program):
         program = source_or_program
     else:
         program = parse(source_or_program)
     cost_model = cost_model or CostModel()
-    python_source, kernel_info = generate_module_source(
+    chunks, kernel_info = generate_module_source(
         program, _macros(meta), cost_model)
-    code = compile(python_source, "<minicuda-codegen>", "exec")
     return ModuleArtifact(program=program, meta=meta, cost_model=cost_model,
-                          python_source=python_source, code=code,
+                          python_source="\n".join(chunks),
+                          code=tuple(compile_chunk(text) for text in chunks),
                           kernel_info=kernel_info)
 
 
@@ -99,7 +112,8 @@ class Module:
     values, the paper's compile-time ``-D_THRESHOLD=...`` overrides, bind
     at instantiation: the generated Python reads each macro as a global of
     this Module's namespace, so Modules of one artifact may run with
-    different values (:meth:`from_artifact`).
+    different values (:meth:`from_artifact`). The namespace is made by
+    executing each of the artifact's code objects into it, in order.
     """
 
     def __init__(self, source_or_program, meta=None, cost_model=None,
@@ -111,8 +125,9 @@ class Module:
         self.meta = artifact.meta if meta is None else meta
         self.cost_model = artifact.cost_model
         self.python_source = artifact.python_source
-        self.namespace = {}
-        exec(artifact.code, self.namespace)
+        self.namespace = namespace = {}
+        for code in artifact.code:
+            exec(code, namespace)
         macros = _macros(self.meta)
         if macros.keys() != _macros(artifact.meta).keys():
             raise CodegenError(

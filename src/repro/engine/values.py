@@ -111,9 +111,14 @@ def alloc_for_type(element_type, count):
 
     *element_type* is the type of one element: pointer and ``dim3`` elements
     get object memory (it stores Ptr / Dim3 values, initially None); integer
-    scalars get int64 memory and floating scalars float64 memory.
+    scalars get int64 memory and floating scalars float64 memory. A count
+    of 0 gives empty memory, as ``cudaMalloc(0)`` does; a negative count
+    raises :class:`~repro.errors.RuntimeLaunchError`.
     """
     count = int(count)
+    if count < 0:
+        raise RuntimeLaunchError(
+            "cannot allocate a negative number of elements (%d)" % count)
     if element_type.pointers >= 1 or element_type.name == "dim3":
         return Ptr([None] * count, object)
     name = element_type.name

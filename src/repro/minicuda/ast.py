@@ -7,21 +7,42 @@ aggregation logic and ``"disagg"`` for disaggregation logic. The engine uses
 it to produce the Fig. 10 breakdown. Use :func:`region_of` to read it.
 """
 
-from dataclasses import dataclass, field, fields
-from typing import Optional
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import Optional, get_args
 
 
-_FIELD_NAMES = {}
+#: AST class -> its child slots, forward and reversed (see child_slots).
+_CHILD_SLOTS = {}
 
 
-def field_names(node):
-    """The dataclass field names of *node*'s class, looked up once per
-    class (``dataclasses.fields`` rebuilds its tuple on every call)."""
-    cls = type(node)
-    names = _FIELD_NAMES.get(cls)
-    if names is None:
-        names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
-    return names
+def child_slots(cls):
+    """The fields of AST class *cls* that can hold a child, as ``(name,
+    holds_list)`` pairs in field order: every dataclass field declared as
+    a Node (or an optional one) or as a list of Nodes.
+
+    Computed once per class from the dataclass fields. Every walker
+    (:meth:`Node.walk`, :meth:`Node.children`, :meth:`Node.clone` and
+    :class:`~repro.minicuda.visitor.Transformer`) reads only these fields,
+    so none looks at a name, number or qualifier field.
+    """
+    return (_CHILD_SLOTS.get(cls) or _add_class(cls))[0]
+
+
+def _add_class(cls):
+    """Compute and store *cls*'s table entry: (its child slots, the same
+    reversed, in which order :meth:`Node.walk` pushes them)."""
+    slots = tuple((f.name, f.type is list) for f in fields(cls)
+                  if _holds_child(f.type)) if is_dataclass(cls) else ()
+    entry = _CHILD_SLOTS[cls] = (slots, slots[::-1])
+    return entry
+
+
+def _holds_child(annotation):
+    """Can a field annotated *annotation* hold a Node or a list?"""
+    options = get_args(annotation) or (annotation,)
+    return any(option is list
+               or (isinstance(option, type) and issubclass(option, Node))
+               for option in options)
 
 
 class Node:
@@ -30,40 +51,52 @@ class Node:
     def clone(self):
         """Deep-copy this node (dynamic attributes such as region included).
 
-        Copied attribute by attribute: a Node is cloned, a list copied with
-        its Nodes cloned, and anything else (names, numbers, qualifier
-        tuples) is immutable and shared. The clone shares no Node with
-        this one.
+        Every attribute is copied; the child slots (:func:`child_slots`)
+        are cloned, a list's Nodes one by one. Anything else (names,
+        numbers, qualifier tuples, region tags) is immutable and shared.
+        The clone shares no Node with this one.
         """
         new = object.__new__(type(self))
         state = new.__dict__
-        for name, value in self.__dict__.items():
-            if isinstance(value, Node):
-                value = value.clone()
-            elif type(value) is list:
-                value = [item.clone() if isinstance(item, Node) else item
-                         for item in value]
-            state[name] = value
+        state.update(self.__dict__)
+        for name, many in child_slots(type(self)):
+            value = state[name]
+            if many:
+                state[name] = [item.clone() for item in value]
+            elif value is not None:
+                state[name] = value.clone()
         return new
 
     def children(self):
         """A list of every direct child Node (lists are flattened)."""
         kids = []
-        for name in field_names(self):
-            value = getattr(self, name)
-            if isinstance(value, Node):
+        state = self.__dict__
+        for name, many in child_slots(type(self)):
+            value = state[name]
+            if many:
+                kids.extend(value)
+            elif value is not None:
                 kids.append(value)
-            elif isinstance(value, list):
-                kids.extend(item for item in value if isinstance(item, Node))
         return kids
 
     def walk(self):
-        """Yield this node and every descendant, pre-order."""
+        """Yield this node and every descendant, pre-order: a node's child
+        slots in field order, a list's items in list order."""
         stack = [self]
+        pop, push, extend = stack.pop, stack.append, stack.extend
+        table = _CHILD_SLOTS
         while stack:
-            node = stack.pop()
+            node = pop()
             yield node
-            stack.extend(reversed(node.children()))
+            backward = (table.get(type(node)) or _add_class(type(node)))[1]
+            if backward:
+                state = node.__dict__
+                for name, many in backward:
+                    value = state[name]
+                    if many:
+                        extend(value[::-1])
+                    elif value is not None:
+                        push(value)
 
 
 def region_of(node):

@@ -9,7 +9,7 @@ Two styles are provided:
   delete the statement.
 """
 
-from .ast import Node, Stmt, field_names
+from .ast import Compound, Stmt, child_slots
 
 
 class Visitor:
@@ -39,28 +39,33 @@ class Transformer:
     the replacement may also be a list (spliced) or ``None`` (dropped).
     """
 
+    #: Node class -> this class's ``visit_<ClassName>`` function, or None;
+    #: each subclass gets its own (``__init_subclass__``).
+    _methods = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._methods = {}
+
     def visit(self, node):
         self._transform_children(node)
-        method = getattr(self, "visit_" + type(node).__name__, None)
+        kind = type(node)
+        try:
+            method = self._methods[kind]
+        except KeyError:
+            method = self._methods[kind] = getattr(
+                type(self), "visit_" + kind.__name__, None)
         if method is not None:
-            return method(node)
+            return method(self, node)
         return node
 
     def _transform_children(self, node):
-        for name in field_names(node):
-            value = getattr(node, name)
-            if isinstance(value, Node):
-                replacement = self.visit(value)
-                if replacement is None and isinstance(value, Stmt):
-                    from .ast import Compound
-                    replacement = Compound([])
-                setattr(node, name, replacement)
-            elif isinstance(value, list):
+        state = node.__dict__
+        for name, many in child_slots(type(node)):
+            value = state[name]
+            if many:
                 new_items = []
                 for item in value:
-                    if not isinstance(item, Node):
-                        new_items.append(item)
-                        continue
                     replacement = self.visit(item)
                     if replacement is None:
                         continue
@@ -68,7 +73,17 @@ class Transformer:
                         new_items.extend(replacement)
                     else:
                         new_items.append(replacement)
-                setattr(node, name, new_items)
+                state[name] = new_items
+            elif value is not None:
+                replacement = self.visit(value)
+                # A statement slot holds one statement: a dropped one
+                # becomes an empty block, a spliced list a block of it.
+                if isinstance(value, Stmt):
+                    if replacement is None:
+                        replacement = Compound([])
+                    elif isinstance(replacement, list):
+                        replacement = Compound(replacement)
+                state[name] = replacement
 
 
 def find_all(node, node_type):

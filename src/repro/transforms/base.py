@@ -35,17 +35,6 @@ class AggSpec:
     host_launch: bool = False   # grid granularity: host launches agg kernel
     agg_threshold: bool = False
 
-    @property
-    def per_thread_buffers(self):
-        """Names of buffers with one slot per parent thread."""
-        return [p for p in self.buffer_params
-                if "_scan" in p or "_bdimarr" in p or "_args" in p]
-
-    @property
-    def per_group_buffers(self):
-        return [p for p in self.buffer_params
-                if p not in self.per_thread_buffers]
-
 
 @dataclass
 class PromotionSpec:
@@ -260,9 +249,3 @@ def insert_after(program, anchor_name, new_decl):
     """Insert a declaration right after the function named *anchor_name*."""
     index = program.index_of(anchor_name)
     program.decls.insert(index + 1, new_decl)
-
-
-def insert_before(program, anchor_name, new_decl):
-    """Insert a declaration right before the function named *anchor_name*."""
-    index = program.index_of(anchor_name)
-    program.decls.insert(index, new_decl)

@@ -1,5 +1,7 @@
 """AST infrastructure tests: clone, walk, regions, visitors, builders."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.benchmarks import all_benchmarks
@@ -9,6 +11,8 @@ from repro.minicuda.printer import print_expr, print_source, print_stmt
 from repro.minicuda.visitor import Transformer, Visitor, any_match, find_all
 from repro.transforms import OptConfig, transform
 
+GRANULARITIES = ("warp", "block", "multiblock", "grid")
+
 
 def _programs(bench):
     """*bench*'s parsed sources and its CDP source transformed by T+C+A
@@ -16,11 +20,43 @@ def _programs(bench):
     yield parse(bench.nocdp_source())
     cdp = parse(bench.cdp_source())
     yield cdp
-    for granularity in ("warp", "block", "multiblock", "grid"):
+    for granularity in GRANULARITIES:
         yield transform(cdp, OptConfig(threshold=64, coarsen_factor=8,
                                        aggregate=granularity)).program
     yield transform(cdp, OptConfig(threshold=64, aggregate="block",
                                    agg_threshold=8)).program
+
+
+def _oracle_programs(bench):
+    """:func:`_programs`, plus the CDP source under T, C and A alone."""
+    yield from _programs(bench)
+    cdp = parse(bench.cdp_source())
+    yield transform(cdp, OptConfig(threshold=64)).program
+    yield transform(cdp, OptConfig(coarsen_factor=8)).program
+    for granularity in GRANULARITIES:
+        yield transform(cdp, OptConfig(aggregate=granularity)).program
+
+
+def _reference_children(node):
+    """Every direct child Node, read field by field in dataclass order (a
+    list field's Nodes in list order): the walker's oracle."""
+    kids = []
+    for field in fields(node):
+        value = getattr(node, field.name)
+        if isinstance(value, ast.Node):
+            kids.append(value)
+        elif isinstance(value, list):
+            kids.extend(item for item in value if isinstance(item, ast.Node))
+    return kids
+
+
+def _reference_walk(node):
+    """Pre-order over :func:`_reference_children`."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(_reference_children(node)))
 
 
 class TestNodeBasics:
@@ -63,6 +99,44 @@ class TestNodeBasics:
             assert [region_of(n) for n in copies] == \
                 [region_of(n) for n in nodes]
             assert not {id(n) for n in nodes} & {id(n) for n in copies}
+
+
+class TestWalkOracle:
+    """``walk`` and ``children`` against a field-order reference, over
+    every benchmark program the transforms make."""
+
+    @pytest.mark.parametrize("bench", all_benchmarks(),
+                             ids=lambda bench: bench.name)
+    def test_walk_and_children_match_field_order(self, bench):
+        for program in _oracle_programs(bench):
+            expected = list(_reference_walk(program))
+            assert [id(n) for n in program.walk()] == \
+                [id(n) for n in expected]
+            for node in expected:
+                assert [id(kid) for kid in node.children()] == \
+                    [id(kid) for kid in _reference_children(node)]
+
+    @pytest.mark.parametrize("bench", all_benchmarks(),
+                             ids=lambda bench: bench.name)
+    def test_only_child_slots_hold_nodes_or_lists(self, bench):
+        for program in _oracle_programs(bench):
+            for node in program.walk():
+                slots = {name for name, _ in ast.child_slots(type(node))}
+                for field in fields(node):
+                    if field.name in slots:
+                        continue
+                    value = getattr(node, field.name)
+                    assert not isinstance(value, (ast.Node, list)), \
+                        (type(node).__name__, field.name)
+
+    def test_child_slots_follow_field_order(self):
+        assert ast.child_slots(ast.Launch) == (
+            ("grid", False), ("block", False), ("args", True),
+            ("shmem", False), ("stream", False))
+        assert ast.child_slots(ast.Ident) == ()
+        assert ast.child_slots(ast.Type) == ()
+        assert ast.child_slots(ast.VarDecl) == (
+            ("type", False), ("init", False), ("array_size", False))
 
 
 class TestVisitor:
@@ -112,6 +186,16 @@ class TestTransformer:
 
         block = Duplicate().visit(parse_stmt("{ x = 1; }"))
         assert len(block.stmts) == 2
+
+    def test_splice_into_a_statement_slot_makes_a_block(self):
+        class Duplicate(Transformer):
+            def visit_ExprStmt(self, node):
+                return [node, node.clone()]
+
+        branch = Duplicate().visit(parse_stmt("if (a) x = 1;"))
+        assert isinstance(branch.then, ast.Compound)
+        assert print_stmt(branch) == print_stmt(
+            parse_stmt("if (a) { x = 1; x = 1; }"))
 
     def test_statement_delete(self):
         class DropAssigns(Transformer):

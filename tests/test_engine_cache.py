@@ -4,19 +4,24 @@ Covers the memoization contract (same source + config structure + cost
 model → one compile, whatever the tuning values), instantiation isolation
 (cached artifacts never share mutable state, and each Module binds its
 own values), key sensitivity (source, transform structure, cost model,
-and the shared version token all discriminate), one parse per source, the
-CACHE_VERSION invalidation contract with the on-disk result cache, LRU
-bounding, and the metrics counter the serve endpoint exports.
+and the shared version token all discriminate), one parse per source, one
+``compile()`` per distinct generated function, the CACHE_VERSION
+invalidation contract with the on-disk result cache, LRU bounding, and the
+metrics counter the serve endpoint exports.
 """
 
 import sys
 import threading
 from dataclasses import replace
+from types import CodeType
 
 import pytest
 
 from repro.engine import (CompiledKernelCache, KERNEL_CACHE,
-                          codegen_cache_key, compiled_module)
+                          codegen_cache_key, compiled_module,
+                          generate_module_source)
+from repro.engine.cache import DEFAULT_CAPACITY, FUNCTIONS_PER_ENTRY
+from repro.engine.codegen import MODULE_HEADER
 from repro.harness import ResultCache, SweepExecutor, TuningParams, point_key
 from repro.harness import cache as result_cache_mod
 from repro.harness.metrics import REGISTRY
@@ -232,6 +237,160 @@ class TestStructureKey:
             assert together[t].outputs.keys() == alone[t].outputs.keys()
             for name, values in alone[t].outputs.items():
                 assert (together[t].outputs[name] == values).all()
+
+
+def _functions_of(artifact):
+    """{function name: the code object of the chunk that defines it}."""
+    return {const.co_name: code for code in artifact.code
+            for const in code.co_consts if isinstance(const, CodeType)}
+
+
+class TestFunctionMemo:
+    """Each distinct generated function compiles once per cache."""
+
+    THRESHOLD = OptConfig(threshold=64)
+    AGGREGATE = OptConfig(threshold=64, aggregate="block")
+
+    def test_structures_share_the_code_of_a_common_function(self):
+        cache = CompiledKernelCache()
+        plain = _functions_of(cache.get_or_compile(BFS_LIKE_SRC))
+        thresholded = _functions_of(
+            cache.get_or_compile(BFS_LIKE_SRC, self.THRESHOLD))
+        aggregated = _functions_of(
+            cache.get_or_compile(BFS_LIKE_SRC, self.AGGREGATE))
+        # Thresholding and block aggregation rewrite the parent only.
+        assert plain["b_child"] is thresholded["b_child"] \
+            is aggregated["b_child"]
+        assert thresholded["f_child_serial"] is aggregated["f_child_serial"]
+        assert plain["b_parent"] is not thresholded["b_parent"]
+        # A barrier kernel's generator and block function are one chunk.
+        assert aggregated["k_parent"] is aggregated["b_parent"]
+        # child, parent, child_serial, the new parent, child_agg and the
+        # barrier parent, plus the header.
+        assert cache.function_count() == 7
+
+    def test_every_artifact_shares_one_header(self):
+        cache = CompiledKernelCache()
+        headers = {id(cache.get_or_compile(source, config).code[0])
+                   for source in (SIMPLE_SRC, BFS_LIKE_SRC)
+                   for config in (None, self.THRESHOLD)
+                   if config is None or source is BFS_LIKE_SRC}
+        assert len(headers) == 1
+
+    def test_clear_compiles_every_function_again(self):
+        cache = CompiledKernelCache()
+        before = cache.get_or_compile(BFS_LIKE_SRC, self.AGGREGATE)
+        cache.clear()
+        assert cache.function_count() == 0
+        after = cache.get_or_compile(BFS_LIKE_SRC, self.AGGREGATE)
+        assert after.python_source == before.python_source
+        assert len(after.code) == len(before.code)
+        assert not {id(code) for code in before.code} & \
+            {id(code) for code in after.code}
+
+    def test_memo_stays_within_its_bound(self):
+        assert CompiledKernelCache().function_capacity == \
+            FUNCTIONS_PER_ENTRY * DEFAULT_CAPACITY
+        cache = CompiledKernelCache(capacity=1)
+        assert cache.function_capacity == FUNCTIONS_PER_ENTRY
+        sources = [BFS_LIKE_SRC.replace("+ 255) / 256", "+ %d) / %d"
+                                        % (k - 1, k)) for k in (32, 64, 128)]
+        for source in sources:
+            for config in (None, self.THRESHOLD):
+                artifact = cache.get_or_compile(source, config)
+                assert cache.function_count() <= cache.function_capacity
+        # The last artifact's chunks are the most recently used ones.
+        assert cache.function_count() == FUNCTIONS_PER_ENTRY
+        assert len(artifact.code) == FUNCTIONS_PER_ENTRY
+
+    def test_concurrent_structures_of_one_source(self, monkeypatch):
+        """Four threads compile four structures of one source through one
+        fresh cache at once; each gets its single-threaded Module."""
+        from repro.benchmarks import get_benchmark
+        from repro.harness import run_variant
+
+        bench = get_benchmark("BFS")
+        data = bench.build_dataset("KRON", 0.05)
+        points = (
+            ("CDP+T", TuningParams(threshold=16)),
+            ("CDP+C", TuningParams(coarsen_factor=4)),
+            ("CDP+T+A", TuningParams(threshold=16, granularity="block")),
+            ("CDP+T+C+A", TuningParams(threshold=16, coarsen_factor=4,
+                                       granularity="multiblock")))
+
+        def run(label, params):
+            return run_variant(bench, data, label, params, keep_outputs=True)
+
+        monkeypatch.setattr("repro.engine.cache.KERNEL_CACHE",
+                            CompiledKernelCache())
+        alone = {label: run(label, params) for label, params in points}
+        sources = {label: bench.module_for("cdp", config).python_source
+                   for label, config in (
+                       (label, variant_to_config(label, params))
+                       for label, params in points)}
+        kernels = CompiledKernelCache()
+        monkeypatch.setattr("repro.engine.cache.KERNEL_CACHE", kernels)
+        together = {}
+        start = threading.Barrier(len(points))
+
+        def worker(label, params):
+            start.wait(timeout=30)
+            together[label] = run(label, params)
+
+        threads = [threading.Thread(target=worker, args=point)
+                   for point in points]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert kernels.stats()["misses"] == len(points)
+        artifacts = {label: kernels.get_or_compile(
+            bench.cdp_source(), variant_to_config(label, params))
+            for label, params in points}
+        assert len({id(artifact.code[0])
+                    for artifact in artifacts.values()}) == 1
+        for label, _ in points:
+            assert artifacts[label].python_source == sources[label]
+            assert together[label].to_dict() == alone[label].to_dict()
+            assert together[label].outputs.keys() == \
+                alone[label].outputs.keys()
+            for name, values in alone[label].outputs.items():
+                assert (together[label].outputs[name] == values).all()
+
+    @pytest.mark.parametrize("config", [None, THRESHOLD, AGGREGATE],
+                             ids=["plain", "T", "T+A"])
+    def test_chunks_join_to_the_module_source(self, config):
+        from repro.benchmarks import all_benchmarks
+
+        cache = CompiledKernelCache()
+        for bench in all_benchmarks():
+            artifact = cache.get_or_compile(bench.cdp_source(), config)
+            chunks, kernel_info = generate_module_source(
+                artifact.program,
+                artifact.meta.macros if artifact.meta else (),
+                artifact.cost_model)
+            assert "\n".join(chunks) == artifact.python_source
+            assert chunks[0] == MODULE_HEADER
+            assert kernel_info == artifact.kernel_info
+            assert len(chunks) == len(artifact.code)
+            functions = [f for f in artifact.program.functions()
+                         if f.body is not None]
+            assert len(chunks) == 1 + len(functions)
+            for chunk, func in zip(chunks[1:], functions):
+                assert chunk.startswith("def ") and chunk.endswith("\n")
+                prefix = "b_" if func.is_kernel else "f_"
+                assert "def %s%s(" % (prefix, func.name) in chunk
+
+
+def variant_to_config(label, params):
+    from repro.harness.variants import variant_to_run
+    return variant_to_run(label, params)[1]
 
 
 class TestVersionToken:

@@ -92,6 +92,18 @@ class TestAlloc:
         with pytest.raises(RuntimeLaunchError):
             alloc_for_type(Type("struct foo"), 4)
 
+    @pytest.mark.parametrize("type_name", ["int", "float", "dim3"])
+    def test_negative_count_rejected(self, type_name):
+        device = Device(Module("__global__ void k(int *p) { p[0] = 1; }"))
+        with pytest.raises(RuntimeLaunchError, match="negative"):
+            device.alloc(type_name, -3)
+        assert len(device.alloc(type_name, 0).to_numpy()) == 0
+
+    def test_negative_count_of_pointers_rejected(self):
+        with pytest.raises(RuntimeLaunchError, match="negative"):
+            alloc_for_type(Type("int", pointers=1), -3)
+        assert len(alloc_for_type(Type("int", pointers=1), 0).to_numpy()) == 0
+
 
 STORE_SRC = """
 __global__ void store(int *ints, float *floats, float a, float b, int c) {
